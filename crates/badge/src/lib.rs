@@ -10,7 +10,7 @@
 //! badges quietly recording on a desk, muffled microphones, and identity
 //! mix-ups after badge swaps.
 //!
-//! * [`records`] — the on-card record types and per-unit logs.
+//! * [`records`] — the on-card record types (row form of single records).
 //! * [`clockdrift`] — per-unit drifting clocks; the reference badge timeline.
 //! * [`world`] — habitat + channels + badge↔wearer mapping.
 //! * [`sensors`] — IMU and environmental feature models.
@@ -21,7 +21,7 @@
 //! * [`storage`] — SD volume accounting and the on-card scan codec.
 //! * [`recorder`] — the day-by-day firmware recorder.
 //! * [`telemetry`] — the columnar (struct-of-arrays) telemetry store and
-//!   its zero-copy views; [`records::BadgeLog`] is the row-oriented façade.
+//!   its zero-copy views: the one recorded form of a badge's span.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -55,8 +55,8 @@ pub mod prelude {
     pub use crate::clockdrift::ClockSet;
     pub use crate::recorder::Recorder;
     pub use crate::records::{
-        AudioFrame, BadgeId, BadgeLog, BeaconScan, EnvSample, ImuSample, IrContact,
-        MissionRecording, ProximityObs, SamplingConfig, SyncSample,
+        AudioFrame, BadgeId, BeaconScan, EnvSample, ImuSample, IrContact, ProximityObs,
+        SamplingConfig, SyncSample,
     };
     pub use crate::telemetry::{TelemetryStore, TelemetryView};
     pub use crate::world::World;

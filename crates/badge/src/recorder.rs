@@ -1,8 +1,8 @@
-//! The firmware recorder: turns ground truth into badge logs, day by day.
+//! The firmware recorder: turns ground truth into badge telemetry, day by day.
 //!
-//! One [`Recorder::record_day`] call produces the logs of all 13 units for one mission
-//! day — every sensor stream sampled at its configured rate, stamped with the
-//! unit's drifting local clock. Recording day-by-day keeps memory bounded
+//! One [`Recorder::record_day_stores`] call produces the columnar telemetry
+//! stores of all 13 units for one mission day — every sensor stream sampled
+//! at its configured rate, stamped with the unit's drifting local clock. Recording day-by-day keeps memory bounded
 //! (the real mission wrote to SD cards; we hand each day to the pipeline and
 //! drop it).
 //!
@@ -27,7 +27,7 @@
 use crate::clockdrift::{ClockSet, UNIT_COUNT};
 use crate::links;
 use crate::mic::{self, MicModel, MicSampler};
-use crate::records::{BadgeId, BadgeLog, MissionRecording, ProximityObs, SamplingConfig};
+use crate::records::{BadgeId, ProximityObs, SamplingConfig};
 use crate::scanner;
 use crate::sensors::{EnvSampler, ImuModel, ImuSampler};
 use crate::storage::StorageMeter;
@@ -136,21 +136,6 @@ impl<'a> Recorder<'a> {
     #[must_use]
     pub fn config(&self) -> &SamplingConfig {
         &self.config
-    }
-
-    /// Records one mission day (1-based) for all units, as row-oriented
-    /// [`BadgeLog`]s — a thin façade over [`record_day_stores`].
-    ///
-    /// [`record_day_stores`]: Recorder::record_day_stores
-    #[must_use]
-    pub fn record_day(&self, day: u32) -> MissionRecording {
-        MissionRecording {
-            logs: self
-                .record_day_stores(day)
-                .into_iter()
-                .map(BadgeLog::from)
-                .collect(),
-        }
     }
 
     /// Records one mission day (1-based) for all units, appending every
@@ -748,17 +733,6 @@ impl<'a> Recorder<'a> {
             tn += self.config.sync_period;
         }
     }
-
-    /// Records the instrumented portion of the mission (days 2–14; badges
-    /// were first worn on day 2) and stitches the result.
-    #[must_use]
-    pub fn record_mission(&self) -> MissionRecording {
-        let mut rec = MissionRecording::default();
-        for day in 2..=ares_crew::schedule::MISSION_DAYS {
-            rec.merge(self.record_day(day));
-        }
-        rec
-    }
 }
 
 #[cfg(test)]
@@ -794,9 +768,9 @@ mod tests {
             SamplingConfig::default(),
             SeedTree::new(99),
         );
-        let day = rec.record_day(3);
-        assert_eq!(day.logs.len(), UNIT_COUNT);
-        let b0 = day.log(BadgeId(0)).unwrap();
+        let day = rec.record_day_stores(3);
+        assert_eq!(day.len(), UNIT_COUNT);
+        let b0 = day.iter().find(|s| s.badge == BadgeId(0)).unwrap();
         assert!(!b0.scans.is_empty(), "scans");
         assert!(!b0.audio.is_empty(), "audio");
         assert!(!b0.imu.is_empty(), "imu");
@@ -805,7 +779,7 @@ mod tests {
         assert!(!b0.sync.is_empty(), "sync");
         assert!(b0.bytes_written > 1_000_000_000, "raw volume");
         // The reference unit records env + no scans.
-        let r = day.log(BadgeId::REFERENCE).unwrap();
+        let r = day.iter().find(|s| s.badge == BadgeId::REFERENCE).unwrap();
         assert!(r.scans.is_empty());
         assert!(!r.env.is_empty());
     }
@@ -820,23 +794,24 @@ mod tests {
             SamplingConfig::default(),
             SeedTree::new(99),
         );
-        let day = rec.record_day(2);
+        let day = rec.record_day_stores(2);
         // The first scan may come well after 07:00 (the badge sleeps while
         // docked), so recover the true sampling instant from the stamp: it
         // must sit on the scan-period grid, and the stamp must be that grid
         // instant's *local* image — offset by the unit's drifting clock.
         let unit = BadgeId(0);
         let clock = rec.clocks().clock(unit);
-        let scan0 = &day.log(unit).unwrap().scans[0];
+        let store = day.iter().find(|s| s.badge == unit).unwrap();
+        let scan0 = store.scans.view().ts()[0];
         let true_start = SimTime::from_day_hms(2, 7, 0, 0);
         let period = SamplingConfig::default().scan_period.as_micros();
-        let since_start = (clock.true_time(scan0.t_local) - true_start).as_micros();
+        let since_start = (clock.true_time(scan0) - true_start).as_micros();
         let grid = true_start
             + ares_simkit::time::SimDuration::from_micros(
                 (since_start + period / 2) / period * period,
             );
-        assert_eq!(scan0.t_local, clock.local_time(grid));
-        assert_ne!(scan0.t_local, grid, "the clock offset must be visible");
+        assert_eq!(scan0, clock.local_time(grid));
+        assert_ne!(scan0, grid, "the clock offset must be visible");
     }
 
     #[test]
@@ -849,8 +824,8 @@ mod tests {
             SamplingConfig::default(),
             SeedTree::new(99),
         );
-        let day = rec.record_day(3);
-        let total: usize = day.logs.iter().map(|l| l.ir.len()).sum();
+        let day = rec.record_day_stores(3);
+        let total: usize = day.iter().map(|l| l.ir.len()).sum();
         assert!(total > 0, "some IR contacts on a normal day");
         assert_eq!(total % 2, 0, "contacts recorded pairwise");
     }

@@ -1,5 +1,9 @@
 //! Record types written by a badge to its SD card.
 //!
+//! These are the row forms of single records — what the sensor models emit
+//! and what the columnar [`crate::telemetry::TelemetryStore`] appends via its
+//! `push_*` methods. A badge's recorded span lives only in the store.
+//!
 //! All timestamps are **badge-local**: each badge stamps records with its own
 //! drifting clock. The offline pipeline (`ares-sociometrics::sync`) maps them
 //! back to the reference timeline before any cross-badge analysis — exactly
@@ -119,70 +123,6 @@ pub struct SyncSample {
     pub t_reference: SimTime,
 }
 
-/// Everything one badge recorded over one span (typically a day).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
-pub struct BadgeLog {
-    /// The physical unit.
-    pub badge: BadgeId,
-    /// BLE beacon scans.
-    pub scans: Vec<BeaconScan>,
-    /// Microphone feature frames.
-    pub audio: Vec<AudioFrame>,
-    /// Inertial windows.
-    pub imu: Vec<ImuSample>,
-    /// Environmental samples.
-    pub env: Vec<EnvSample>,
-    /// Inter-badge proximity observations.
-    pub proximity: Vec<ProximityObs>,
-    /// Infrared contacts.
-    pub ir: Vec<IrContact>,
-    /// Time-sync exchanges.
-    pub sync: Vec<SyncSample>,
-    /// Bytes of raw data written to the SD card over the span (the on-card
-    /// format is far denser than these in-memory features).
-    pub bytes_written: u64,
-}
-
-impl BadgeLog {
-    /// Creates an empty log for a unit.
-    #[must_use]
-    pub fn new(badge: BadgeId) -> Self {
-        BadgeLog {
-            badge,
-            ..Default::default()
-        }
-    }
-
-    /// Total number of records across all streams.
-    #[must_use]
-    pub fn record_count(&self) -> usize {
-        self.scans.len()
-            + self.audio.len()
-            + self.imu.len()
-            + self.env.len()
-            + self.proximity.len()
-            + self.ir.len()
-            + self.sync.len()
-    }
-
-    /// Appends another log of the same unit (used to stitch days together).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the unit ids differ.
-    pub fn append(&mut self, mut other: BadgeLog) {
-        assert_eq!(self.badge, other.badge, "appending a different unit's log");
-        self.scans.append(&mut other.scans);
-        self.audio.append(&mut other.audio);
-        self.imu.append(&mut other.imu);
-        self.env.append(&mut other.env);
-        self.proximity.append(&mut other.proximity);
-        self.ir.append(&mut other.ir);
-        self.sync.append(&mut other.sync);
-        self.bytes_written += other.bytes_written;
-    }
-}
-
 /// Sampling configuration of the badge firmware.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SamplingConfig {
@@ -246,37 +186,6 @@ impl SamplingConfig {
     }
 }
 
-/// A full mission recording: one log per physical unit, stitched over days.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
-pub struct MissionRecording {
-    /// Per-unit logs, including the reference badge.
-    pub logs: Vec<BadgeLog>,
-}
-
-impl MissionRecording {
-    /// The log of one unit, if present.
-    #[must_use]
-    pub fn log(&self, badge: BadgeId) -> Option<&BadgeLog> {
-        self.logs.iter().find(|l| l.badge == badge)
-    }
-
-    /// Total bytes written across all units.
-    #[must_use]
-    pub fn total_bytes(&self) -> u64 {
-        self.logs.iter().map(|l| l.bytes_written).sum()
-    }
-
-    /// Merges per-day recordings unit-wise.
-    pub fn merge(&mut self, other: MissionRecording) {
-        for log in other.logs {
-            match self.logs.iter_mut().find(|l| l.badge == log.badge) {
-                Some(mine) => mine.append(log),
-                None => self.logs.push(log),
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -288,50 +197,5 @@ mod tests {
         assert!(!BadgeId(3).is_backup());
         assert!(!BadgeId::REFERENCE.is_backup());
         assert_eq!(format!("{}", BadgeId(4)), "badge04");
-    }
-
-    #[test]
-    fn log_append_and_count() {
-        let mut a = BadgeLog::new(BadgeId(1));
-        a.audio.push(AudioFrame {
-            t_local: SimTime::from_secs(1),
-            level_db: 50.0,
-            voiced: false,
-            f0_hz: None,
-        });
-        a.bytes_written = 100;
-        let mut b = BadgeLog::new(BadgeId(1));
-        b.ir.push(IrContact {
-            t_local: SimTime::from_secs(2),
-            other: BadgeId(2),
-        });
-        b.bytes_written = 50;
-        a.append(b);
-        assert_eq!(a.record_count(), 2);
-        assert_eq!(a.bytes_written, 150);
-    }
-
-    #[test]
-    #[should_panic(expected = "different unit")]
-    fn append_rejects_other_units() {
-        let mut a = BadgeLog::new(BadgeId(1));
-        a.append(BadgeLog::new(BadgeId(2)));
-    }
-
-    #[test]
-    fn recording_merges_unitwise() {
-        let mut rec = MissionRecording::default();
-        let mut day1 = MissionRecording::default();
-        day1.logs.push(BadgeLog::new(BadgeId(0)));
-        day1.logs[0].bytes_written = 10;
-        rec.merge(day1);
-        let mut day2 = MissionRecording::default();
-        day2.logs.push(BadgeLog::new(BadgeId(0)));
-        day2.logs[0].bytes_written = 5;
-        day2.logs.push(BadgeLog::new(BadgeId::REFERENCE));
-        rec.merge(day2);
-        assert_eq!(rec.logs.len(), 2);
-        assert_eq!(rec.log(BadgeId(0)).unwrap().bytes_written, 15);
-        assert_eq!(rec.total_bytes(), 15);
     }
 }

@@ -7,14 +7,14 @@
 //! bundles of slices — and obtain time windows by binary search over the
 //! timestamp column instead of filtering clones.
 //!
-//! [`BadgeLog`] remains as a row-oriented compatibility façade: `From`
-//! conversions run both ways, and a round trip is lossless up to the stable
-//! time sort the store maintains (the recorder emits every stream in time
-//! order except mirrored IR contacts, which the sorted insert repairs).
+//! The store is the only recorded form of a badge's span: the recorder
+//! appends straight into it, and the analysis engine, ingest service and
+//! exports all read it. Every column stays sorted by timestamp (the recorder
+//! emits every stream in time order except mirrored IR contacts, which the
+//! stable sorted insert repairs).
 
 use crate::records::{
-    AudioFrame, BadgeId, BadgeLog, BeaconScan, EnvSample, ImuSample, IrContact, ProximityObs,
-    SyncSample,
+    AudioFrame, BadgeId, BeaconScan, EnvSample, ImuSample, IrContact, ProximityObs, SyncSample,
 };
 use ares_habitat::beacons::BeaconId;
 use ares_simkit::time::SimTime;
@@ -250,8 +250,7 @@ impl<'a, T> ColumnView<'a, T> {
 
 /// Everything one badge recorded over one span, in columnar layout.
 ///
-/// The columnar sibling of [`BadgeLog`]; convert with `From`/`Into` in either
-/// direction. Analysis passes borrow a [`TelemetryView`] via [`view`].
+/// Analysis passes borrow a [`TelemetryView`] via [`view`].
 ///
 /// [`view`]: TelemetryStore::view
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
@@ -431,26 +430,6 @@ impl TelemetryStore {
     }
 }
 
-/// Approximate in-memory footprint of the row-oriented façade (bytes) — the
-/// like-for-like comparison point for [`TelemetryStore::mem_bytes`].
-#[must_use]
-pub fn log_mem_bytes(log: &BadgeLog) -> u64 {
-    use std::mem::size_of;
-    let hit_heap: usize = log
-        .scans
-        .iter()
-        .map(|s| s.hits.len() * size_of::<(BeaconId, f64)>())
-        .sum();
-    (log.scans.len() * size_of::<BeaconScan>()
-        + hit_heap
-        + log.audio.len() * size_of::<AudioFrame>()
-        + log.imu.len() * size_of::<ImuSample>()
-        + log.env.len() * size_of::<EnvSample>()
-        + log.proximity.len() * size_of::<ProximityObs>()
-        + log.ir.len() * size_of::<IrContact>()
-        + log.sync.len() * size_of::<SyncSample>()) as u64
-}
-
 /// A zero-copy view over a [`TelemetryStore`]: `Copy` slice bundles for every
 /// record family. This is what the analysis stage kernels take.
 #[derive(Debug, Clone, Copy, Default)]
@@ -507,6 +486,15 @@ impl<'a> TelemetryView<'a> {
     /// Iterates scans as `(timestamp, hit slice)`.
     pub fn scan_hits(&self) -> impl Iterator<Item = (SimTime, &'a [(BeaconId, f64)])> + use<'a> {
         self.scans.iter().map(|(t, h)| (t, h.as_slice()))
+    }
+
+    /// Iterates scans materialized as row structs (clones each hit list; the
+    /// analysis kernels read [`Self::scan_hits`] instead).
+    pub fn beacon_scans(&self) -> impl Iterator<Item = BeaconScan> + use<'a> {
+        self.scans.iter().map(|(t, h)| BeaconScan {
+            t_local: t,
+            hits: h.clone(),
+        })
     }
 
     /// Iterates audio frames materialized as row structs (payloads are
@@ -566,72 +554,6 @@ impl<'a> TelemetryView<'a> {
     }
 }
 
-impl From<BadgeLog> for TelemetryStore {
-    fn from(log: BadgeLog) -> Self {
-        let mut store = TelemetryStore::new(log.badge);
-        for s in log.scans {
-            store.push_scan(s);
-        }
-        for a in log.audio {
-            store.push_audio(a);
-        }
-        for s in log.imu {
-            store.push_imu(s);
-        }
-        for s in log.env {
-            store.push_env(s);
-        }
-        for p in log.proximity {
-            store.push_proximity(p);
-        }
-        for c in log.ir {
-            store.push_ir(c);
-        }
-        for s in log.sync {
-            store.push_sync(s);
-        }
-        store.bytes_written = log.bytes_written;
-        store
-    }
-}
-
-impl From<&BadgeLog> for TelemetryStore {
-    fn from(log: &BadgeLog) -> Self {
-        log.clone().into()
-    }
-}
-
-impl From<TelemetryStore> for BadgeLog {
-    fn from(store: TelemetryStore) -> Self {
-        let view = store.view();
-        BadgeLog {
-            badge: store.badge,
-            scans: store
-                .scans
-                .view()
-                .iter()
-                .map(|(t, h)| BeaconScan {
-                    t_local: t,
-                    hits: h.clone(),
-                })
-                .collect(),
-            audio: view.audio_frames().collect(),
-            imu: view.imu_samples().collect(),
-            env: view.env_samples().collect(),
-            proximity: view.proximity_obs().collect(),
-            ir: view.ir_contacts().collect(),
-            sync: view.sync_samples().collect(),
-            bytes_written: store.bytes_written,
-        }
-    }
-}
-
-impl From<&TelemetryStore> for BadgeLog {
-    fn from(store: &TelemetryStore) -> Self {
-        store.clone().into()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -668,51 +590,6 @@ mod tests {
     }
 
     #[test]
-    fn badge_log_round_trip_is_lossless() {
-        let mut log = BadgeLog::new(BadgeId(3));
-        log.scans.push(BeaconScan {
-            t_local: t(1),
-            hits: vec![(ares_habitat::beacons::BeaconId(4), -60.0)],
-        });
-        log.audio.push(AudioFrame {
-            t_local: t(2),
-            level_db: 52.0,
-            voiced: true,
-            f0_hz: Some(180.0),
-        });
-        log.imu.push(ImuSample {
-            t_local: t(3),
-            accel_var: 0.4,
-            accel_mean: 9.8,
-            step_hz: None,
-        });
-        log.env.push(EnvSample {
-            t_local: t(4),
-            temperature_c: 21.0,
-            pressure_hpa: 990.0,
-            light_lux: 300.0,
-        });
-        log.proximity.push(ProximityObs {
-            t_local: t(5),
-            other: BadgeId(1),
-            rssi: -70.0,
-        });
-        log.ir.push(IrContact {
-            t_local: t(6),
-            other: BadgeId(2),
-        });
-        log.sync.push(SyncSample {
-            t_local: t(7),
-            t_reference: t(8),
-        });
-        log.bytes_written = 1234;
-        let store = TelemetryStore::from(&log);
-        assert_eq!(store.record_count(), log.record_count());
-        let back = BadgeLog::from(&store);
-        assert_eq!(back, log);
-    }
-
-    #[test]
     fn store_append_matches_log_append() {
         let mut a = TelemetryStore::new(BadgeId(0));
         a.ir.push(t(5), IrPayload { other: BadgeId(1) });
@@ -734,24 +611,24 @@ mod tests {
     }
 
     #[test]
-    fn columnar_footprint_beats_row_footprint() {
-        let mut log = BadgeLog::new(BadgeId(0));
+    fn columnar_footprint_counts_every_record() {
+        use std::mem::size_of;
+        let mut store = TelemetryStore::new(BadgeId(0));
+        assert_eq!(store.mem_bytes(), 0);
         for s in 0..100i64 {
-            log.imu.push(ImuSample {
-                t_local: t(s),
-                accel_var: 0.1,
-                accel_mean: 9.8,
-                step_hz: None,
-            });
-            log.ir.push(IrContact {
-                t_local: t(s),
-                other: BadgeId(1),
-            });
+            store.ir.push(t(s), IrPayload { other: BadgeId(1) });
         }
-        let store = TelemetryStore::from(&log);
-        assert!(store.mem_bytes() > 0);
-        // Splitting timestamps out removes row padding; the columnar
-        // footprint must never exceed the row layout's.
-        assert!(store.mem_bytes() <= log_mem_bytes(&log));
+        let ir_only = store.mem_bytes();
+        assert_eq!(
+            ir_only,
+            100 * (size_of::<SimTime>() + size_of::<IrPayload>()) as u64
+        );
+        // A scan's hit list lives on the heap and is counted too.
+        store.scans.push(t(0), vec![(BeaconId(4), -60.0); 3]);
+        assert_eq!(
+            store.mem_bytes() - ir_only,
+            (size_of::<SimTime>() + size_of::<ScanHits>() + 3 * size_of::<(BeaconId, f64)>())
+                as u64
+        );
     }
 }

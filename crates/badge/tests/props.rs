@@ -1,13 +1,10 @@
 //! Property tests for the badge device model.
 
 use ares_badge::clockdrift::ClockSet;
-use ares_badge::records::{
-    AudioFrame, BadgeId, BadgeLog, BeaconScan, EnvSample, ImuSample, IrContact, ProximityObs,
-    SamplingConfig, SyncSample,
-};
+use ares_badge::records::{BadgeId, BeaconScan, SamplingConfig};
 use ares_badge::sensors::{ImuModel, OFF_BODY_VAR_THRESHOLD, WALK_VAR_THRESHOLD};
 use ares_badge::storage::{decode_scan, encode_scan, StorageMeter};
-use ares_badge::telemetry::{Column, TelemetryStore};
+use ares_badge::telemetry::Column;
 use ares_crew::truth::WearState;
 use ares_habitat::beacons::BeaconId;
 use ares_simkit::geometry::Point2;
@@ -114,95 +111,6 @@ proptest! {
             parts += m.bytes();
         }
         prop_assert_eq!(one.bytes(), parts);
-    }
-
-    #[test]
-    fn telemetry_round_trip_is_lossless_up_to_stable_sort(
-        scans in prop::collection::vec(
-            (0i64..5_000, prop::collection::vec((0u8..27, -95.0f64..-30.0), 0..4)), 0..32),
-        audio in prop::collection::vec((0i64..5_000, 30.0f64..90.0, prop::bool::ANY), 0..32),
-        imu in prop::collection::vec((0i64..5_000, 0.0f64..2.0), 0..32),
-        env in prop::collection::vec((0i64..5_000, -10.0f64..40.0), 0..32),
-        prox in prop::collection::vec((0i64..5_000, 0u8..13, -100.0f64..-40.0), 0..32),
-        ir in prop::collection::vec((0i64..5_000, 0u8..13), 0..32),
-        sync in prop::collection::vec((0i64..5_000, 0i64..5_000), 0..32),
-        bytes in 0u64..1 << 62,
-    ) {
-        let mut log = BadgeLog::new(BadgeId(7));
-        log.scans = scans
-            .iter()
-            .map(|(t, hits)| BeaconScan {
-                t_local: SimTime::from_secs(*t),
-                hits: hits.iter().map(|&(b, r)| (BeaconId(b), r)).collect(),
-            })
-            .collect();
-        log.audio = audio
-            .iter()
-            .map(|&(t, level_db, voiced)| AudioFrame {
-                t_local: SimTime::from_secs(t),
-                level_db,
-                voiced,
-                f0_hz: voiced.then_some(140.0),
-            })
-            .collect();
-        log.imu = imu
-            .iter()
-            .map(|&(t, accel_var)| ImuSample {
-                t_local: SimTime::from_secs(t),
-                accel_var,
-                accel_mean: 9.81,
-                step_hz: None,
-            })
-            .collect();
-        log.env = env
-            .iter()
-            .map(|&(t, temperature_c)| EnvSample {
-                t_local: SimTime::from_secs(t),
-                temperature_c,
-                pressure_hpa: 990.0,
-                light_lux: 120.0,
-            })
-            .collect();
-        log.proximity = prox
-            .iter()
-            .map(|&(t, other, rssi)| ProximityObs {
-                t_local: SimTime::from_secs(t),
-                other: BadgeId(other),
-                rssi,
-            })
-            .collect();
-        log.ir = ir
-            .iter()
-            .map(|&(t, other)| IrContact {
-                t_local: SimTime::from_secs(t),
-                other: BadgeId(other),
-            })
-            .collect();
-        log.sync = sync
-            .iter()
-            .map(|&(t, r)| SyncSample {
-                t_local: SimTime::from_secs(t),
-                t_reference: SimTime::from_secs(r),
-            })
-            .collect();
-        log.bytes_written = bytes;
-
-        // The columnar store keeps each family time-sorted; arrival order
-        // breaks ties. So the round trip reproduces the stable sort of the
-        // input — and exactly the input when it was already in order.
-        let mut expected = log.clone();
-        expected.scans.sort_by_key(|r| r.t_local);
-        expected.audio.sort_by_key(|r| r.t_local);
-        expected.imu.sort_by_key(|r| r.t_local);
-        expected.env.sort_by_key(|r| r.t_local);
-        expected.proximity.sort_by_key(|r| r.t_local);
-        expected.ir.sort_by_key(|r| r.t_local);
-        expected.sync.sort_by_key(|r| r.t_local);
-
-        let store = TelemetryStore::from(&log);
-        prop_assert_eq!(store.record_count(), log.record_count());
-        let back = BadgeLog::from(&store);
-        prop_assert_eq!(back, expected);
     }
 
     #[test]

@@ -126,15 +126,16 @@ fn ablation_beacon_density(c: &mut Criterion) {
 /// moved (the "boundary values were determined experimentally" sweep).
 fn ablation_speech_thresholds(c: &mut Criterion) {
     use ares_icares::MissionRunner;
-    use ares_sociometrics::speech::{analyze, heard_fraction, SpeechParams};
+    use ares_sociometrics::speech::{analyze_view, heard_fraction, SpeechParams};
     use ares_sociometrics::sync::SyncCorrection;
     let runner = MissionRunner::icares();
-    let (recording, _) = runner.run_day(3);
-    let log = recording
-        .log(ares_badge::records::BadgeId(2))
-        .unwrap()
-        .clone();
-    let corr = SyncCorrection::fit(&log.sync);
+    let store = runner
+        .record_day_stores(3)
+        .into_iter()
+        .find(|s| s.badge == ares_badge::records::BadgeId(2))
+        .unwrap();
+    let audio = store.audio.view();
+    let corr = SyncCorrection::fit_view(store.sync.view());
     let from = SimTime::from_day_hms(3, 7, 0, 0);
     let to = SimTime::from_day_hms(3, 21, 0, 0);
     println!("\n[ablation] day-3 heard-speech fraction (badge02 / astronaut C) vs thresholds:");
@@ -145,7 +146,7 @@ fn ablation_speech_thresholds(c: &mut Criterion) {
                 frame_quorum: quorum,
                 ..Default::default()
             };
-            let track = analyze(&log, &corr, &params);
+            let track = analyze_view(audio, &corr, &params);
             println!(
                 "  ≥{level:.0} dB, ≥{:.0} % frames: fraction {:.3}",
                 quorum * 100.0,
@@ -156,7 +157,7 @@ fn ablation_speech_thresholds(c: &mut Criterion) {
     let mut g = c.benchmark_group("ablation-speech");
     g.sample_size(10);
     g.bench_function("analyze day @60dB/20%", |b| {
-        b.iter(|| black_box(analyze(&log, &corr, &SpeechParams::default())));
+        b.iter(|| black_box(analyze_view(audio, &corr, &SpeechParams::default())));
     });
     g.finish();
 }
@@ -220,22 +221,18 @@ fn ablation_proximity_vs_localization(c: &mut Criterion) {
     use ares_icares::MissionRunner;
     use ares_sociometrics::proximity::{ColocationIndex, ProximityParams};
     let runner = MissionRunner::icares();
-    let (recording, analysis) = runner.run_day(3);
-    let logs: Vec<(
-        &ares_badge::records::BadgeLog,
-        &ares_sociometrics::sync::SyncCorrection,
-    )> = recording
-        .logs
+    let (stores, analysis) = runner.run_day(3);
+    let views: Vec<_> = stores
         .iter()
-        .filter_map(|log| {
+        .filter_map(|store| {
             analysis
                 .badges
                 .iter()
-                .find(|b| b.badge == log.badge)
-                .map(|b| (log, &b.corr))
+                .find(|b| b.badge == store.badge)
+                .map(|b| (store.view(), &b.corr))
         })
         .collect();
-    let index = ColocationIndex::build(&logs, &ProximityParams::default());
+    let index = ColocationIndex::build(&views, &ProximityParams::default());
     println!("\n[ablation] day-3 pairwise co-presence, two modalities (hours):");
     use ares_crew::roster::AstronautId as Id;
     for (x, y) in [(Id::A, Id::F), (Id::D, Id::E), (Id::B, Id::D)] {
@@ -256,7 +253,7 @@ fn ablation_proximity_vs_localization(c: &mut Criterion) {
     let mut g = c.benchmark_group("ablation-modalities");
     g.sample_size(10);
     g.bench_function("build colocation index (full day)", |b| {
-        b.iter(|| black_box(ColocationIndex::build(&logs, &ProximityParams::default())));
+        b.iter(|| black_box(ColocationIndex::build(&views, &ProximityParams::default())));
     });
     g.finish();
 }

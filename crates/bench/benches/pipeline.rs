@@ -2,11 +2,12 @@
 //! recordings into the paper's analyses.
 //!
 //! The per-stage benchmarks call the *engine stage kernels* — the same
-//! functions the batch pipeline, the streaming analyzer and the parallel
+//! functions the batch path, the streaming analyzer and the parallel
 //! executor share — on a realistic day-3 recording of badge 0 (astronaut
 //! A's), generated once up front. The `mission-engine` group measures the
 //! deterministic parallel executor at 1 and N workers on the full day.
 
+use ares_badge::records::BadgeId;
 use ares_badge::telemetry::TelemetryStore;
 use ares_icares::MissionRunner;
 use ares_sociometrics::engine::{
@@ -15,14 +16,18 @@ use ares_sociometrics::engine::{
 };
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 
+/// Badge 0's (astronaut A's) recorded day 3.
+fn badge0_day3(runner: &MissionRunner) -> TelemetryStore {
+    runner
+        .record_day_stores(3)
+        .into_iter()
+        .find(|s| s.badge == BadgeId(0))
+        .expect("badge 0 recorded")
+}
+
 fn bench_pipeline_stages(c: &mut Criterion) {
     let runner = MissionRunner::icares();
-    let (recording, _) = runner.run_day(3);
-    let store = TelemetryStore::from(
-        recording
-            .log(ares_badge::records::BadgeId(0))
-            .expect("badge 0 recorded"),
-    );
+    let store = badge0_day3(&runner);
     let view = store.view();
     let ctx = runner.pipeline().context().clone();
     let corr = stage_sync_fit(view);
@@ -76,31 +81,27 @@ fn bench_pipeline_stages(c: &mut Criterion) {
 
 fn bench_full_day(c: &mut Criterion) {
     let runner = MissionRunner::icares();
-    let (recording, _) = runner.run_day(3);
+    let stores = runner.record_day_stores(3);
     let mut g = c.benchmark_group("pipeline-end-to-end");
     g.sample_size(10);
     g.bench_function("analyze one mission day (13 units)", |b| {
-        b.iter(|| black_box(runner.pipeline().analyze_day(3, &recording.logs)));
+        b.iter(|| black_box(runner.pipeline().analyze_day_stores(3, &stores)));
     });
     g.finish();
 }
 
 fn bench_mission_engine(c: &mut Criterion) {
     let runner = MissionRunner::icares();
-    let (recording, _) = runner.run_day(3);
-    let ctx = runner.pipeline().context().clone();
+    let stores = runner.record_day_stores(3);
+    let ctx = runner.pipeline().context_arc();
     let n = std::thread::available_parallelism()
         .map_or(2, usize::from)
         .max(2);
 
     let mut g = c.benchmark_group("mission-engine");
     g.sample_size(10);
-    let stores: Vec<TelemetryStore> = recording.logs.iter().map(TelemetryStore::from).collect();
     for workers in [1usize, n] {
         let engine = MissionEngine::with_workers(ctx.clone(), workers);
-        g.bench_function(&format!("analyze one day @{workers} worker(s)"), |b| {
-            b.iter(|| black_box(engine.analyze_day(3, &recording.logs)));
-        });
         g.bench_function(
             &format!("analyze one day on stores @{workers} worker(s)"),
             |b| {
@@ -116,7 +117,7 @@ fn bench_recording(c: &mut Criterion) {
     let mut g = c.benchmark_group("recording");
     g.sample_size(10);
     g.bench_function("record one mission day (all sensors, 1 Hz)", |b| {
-        b.iter(|| black_box(runner.run_day(3)));
+        b.iter(|| black_box(runner.record_day_stores(3)));
     });
     g.finish();
 }
@@ -140,31 +141,33 @@ fn bench_hits(c: &mut Criterion) {
 fn bench_streaming(c: &mut Criterion) {
     use ares_sociometrics::streaming::StreamingAnalyzer;
     let runner = MissionRunner::icares();
-    let (recording, _) = runner.run_day(3);
-    let log = recording
-        .log(ares_badge::records::BadgeId(0))
-        .expect("badge 0 recorded")
-        .clone();
+    let store = badge0_day3(&runner);
+    let (badge, v) = (store.badge, store.view());
+    // Materialize the row feed once, outside the timed loop.
+    let sync: Vec<_> = v.sync_samples().collect();
+    let scans: Vec<_> = v.beacon_scans().collect();
+    let audio: Vec<_> = v.audio_frames().collect();
+    let imu: Vec<_> = v.imu_samples().collect();
     let ctx = MissionContext::icares();
     let mut g = c.benchmark_group("streaming");
     g.sample_size(10);
-    let records = (log.scans.len() + log.audio.len() + log.imu.len()) as u64;
+    let records = (scans.len() + audio.len() + imu.len()) as u64;
     g.throughput(Throughput::Elements(records));
     g.bench_function("ingest one badge-day (live events)", |b| {
         b.iter(|| {
             let mut sa = StreamingAnalyzer::with_context(ctx.clone());
-            for s in &log.sync {
-                sa.ingest_sync(log.badge, s);
+            for s in &sync {
+                sa.ingest_sync(badge, s);
             }
             let mut events = 0u64;
-            for s in &log.scans {
-                events += sa.ingest_scan(log.badge, s).len() as u64;
+            for s in &scans {
+                events += sa.ingest_scan(badge, s).len() as u64;
             }
-            for f in &log.audio {
-                events += sa.ingest_audio(log.badge, f).len() as u64;
+            for f in &audio {
+                events += sa.ingest_audio(badge, f).len() as u64;
             }
-            for s in &log.imu {
-                events += sa.ingest_imu(log.badge, s).len() as u64;
+            for s in &imu {
+                events += sa.ingest_imu(badge, s).len() as u64;
             }
             black_box(events)
         });

@@ -5,9 +5,9 @@
 //! cache, fanned out per unit across threads, and through the exact
 //! geometric baseline — checks all three store sets are bit-identical, then
 //! runs the columnar store through the engine sequentially and with every
-//! available core, plus the row façade path, and checks the analyses agree.
+//! available core, and checks the two analyses agree bit for bit.
 //! Per-stage timings, the recording wall times and cache speedup, the
-//! store-vs-façade memory footprints and the verified determinism flags go
+//! columnar store's memory footprint and the verified determinism flags go
 //! to `BENCH_pipeline.json` (or the path given as the first argument), and
 //! one compact line per run is appended to `artifacts/bench_history.jsonl`
 //! so regressions are visible across runs, not just against the last
@@ -40,8 +40,7 @@
 //! BENCH_TS=<unix-seconds> … # pins the history timestamp (reproducible CI)
 //! ```
 
-use ares_badge::records::BadgeLog;
-use ares_badge::telemetry::{log_mem_bytes, TelemetryStore};
+use ares_badge::telemetry::TelemetryStore;
 use ares_icares::MissionRunner;
 use ares_sociometrics::engine::{MissionEngine, Stage};
 use ares_sociometrics::report::engine_section;
@@ -138,8 +137,6 @@ fn main() {
     };
 
     // --- Analysis engine ----------------------------------------------------
-    let logs: Vec<BadgeLog> = stores.iter().map(BadgeLog::from).collect();
-    let facade_bytes: u64 = logs.iter().map(log_mem_bytes).sum();
     let store_bytes: u64 = stores.iter().map(TelemetryStore::mem_bytes).sum();
     let ctx = runner.pipeline().context().clone();
 
@@ -162,8 +159,9 @@ fn main() {
     let t0 = Instant::now();
     let parallel = parallel_engine.analyze_day_stores(DAY, &stores);
     let par_wall_s = t0.elapsed().as_secs_f64();
-    assert_eq!(
-        parallel, sequential,
+    let deterministic = parallel == sequential;
+    assert!(
+        deterministic,
         "determinism violated: parallel day differs from sequential"
     );
     let speedup = if par_wall_s > 0.0 {
@@ -172,14 +170,6 @@ fn main() {
         0.0
     };
     let speedup_measured = true;
-
-    // The row façade must land on the very same analysis as the store path.
-    let facade = sequential_engine.analyze_day(DAY, &logs);
-    let deterministic = facade == sequential;
-    assert!(
-        deterministic,
-        "facade drifted: row-path day differs from columnar"
-    );
 
     // Analysis-plane throughput: one recorded mission day through the staged
     // engine, sequentially. End-to-end folds in the recording front end.
@@ -225,7 +215,6 @@ fn main() {
     let _ = writeln!(json, "  \"speedup_measured\": {speedup_measured},");
     let _ = writeln!(json, "  \"interleaved\": {interleaved},");
     let _ = writeln!(json, "  \"deterministic\": {deterministic},");
-    let _ = writeln!(json, "  \"facade_bytes\": {facade_bytes},");
     let _ = writeln!(json, "  \"store_bytes\": {store_bytes},");
     json.push_str("  \"stages\": {\n");
     for (i, stage) in Stage::ALL.into_iter().enumerate() {
@@ -341,8 +330,7 @@ fn main() {
          {e2e_days_per_s:.3} day(s)/s end to end"
     );
     println!(
-        "telemetry footprint: row facade {:.1} MiB, columnar store {:.1} MiB",
-        facade_bytes as f64 / (1024.0 * 1024.0),
+        "telemetry footprint: columnar store {:.1} MiB",
         store_bytes as f64 / (1024.0 * 1024.0),
     );
     println!("wrote {out_path}");

@@ -4,7 +4,7 @@ fn main() {
     let (runner, mission, _) = ares_bench::run_full_mission();
     let fig = ares_icares::figures::figure3(
         &mission,
-        runner.pipeline().plan(),
+        &runner.pipeline().context().plan,
         &runner.world().beacons,
         AstronautId::A,
     );

@@ -21,7 +21,7 @@
 //! cargo run --release -p ares-bench --bin ingest_soak [out.json]
 //! ```
 
-use ares_badge::records::{BadgeId, BeaconScan};
+use ares_badge::records::BadgeId;
 use ares_badge::telemetry::TelemetryStore;
 use ares_icares::MissionRunner;
 use ares_simkit::time::SimTime;
@@ -43,14 +43,8 @@ fn flatten(stores: &[TelemetryStore]) -> Vec<(BadgeId, TelemetryRecord)> {
     let mut feed: Vec<(BadgeId, TelemetryRecord)> = Vec::new();
     for store in stores {
         let v = store.view();
-        for (t, hits) in v.scan_hits() {
-            feed.push((
-                store.badge,
-                TelemetryRecord::Scan(BeaconScan {
-                    t_local: t,
-                    hits: hits.to_vec(),
-                }),
-            ));
+        for s in v.beacon_scans() {
+            feed.push((store.badge, TelemetryRecord::Scan(s)));
         }
         for a in v.audio_frames() {
             feed.push((store.badge, TelemetryRecord::Audio(a)));

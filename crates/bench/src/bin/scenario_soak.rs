@@ -34,9 +34,10 @@
 //! BENCH_TS=<unix-seconds> …  # pins the history timestamp
 //! ```
 
-use ares_badge::records::{BadgeId, BeaconScan, SamplingConfig};
+use ares_badge::records::{BadgeId, SamplingConfig};
 use ares_icares::{MissionRunner, ScenarioConfig, FIRST_INSTRUMENTED_DAY};
 use ares_scenario::{generate, validate};
+use ares_sociometrics::engine::MissionEngine;
 use ares_sociometrics::report::{scenario_section, ScenarioPlanRow};
 use ares_sociometrics::streaming::{LiveEvent, StreamingAnalyzer};
 use ares_support::ingest::TelemetryRecord;
@@ -91,14 +92,8 @@ fn streaming_replay_identical(runner: &MissionRunner, day: u32) -> bool {
     let mut feed: Vec<(BadgeId, TelemetryRecord)> = Vec::new();
     for store in stores.iter().take(STREAM_BADGES) {
         let v = store.view();
-        for (t, hits) in v.scan_hits() {
-            feed.push((
-                store.badge,
-                TelemetryRecord::Scan(BeaconScan {
-                    t_local: t,
-                    hits: hits.to_vec(),
-                }),
-            ));
+        for s in v.beacon_scans() {
+            feed.push((store.badge, TelemetryRecord::Scan(s)));
         }
         for a in v.audio_frames() {
             feed.push((store.badge, TelemetryRecord::Audio(a)));
@@ -177,11 +172,11 @@ fn main() {
         let record_ok = runner.record_day_stores_scalar(day) == stores
             && runner.record_day_stores_parallel(day, 4) == stores
             && runner.record_day_stores_exact(day) == stores;
-        drop(stores);
 
         // Analysis bit-identity: batch fold vs. the parallel mission engine.
+        let parallel = MissionEngine::with_workers(runner.pipeline().context_arc(), 4)
+            .analyze_days_stores(&[(day, stores)]);
         let batch = serde_json::to_string(&runner.run_days(day, day, |_| {}));
-        let (parallel, _) = runner.run_days_parallel(day, day, 4);
         let analyze_ok = batch == serde_json::to_string(&parallel);
 
         // Streaming bit-identity: checkpoint/restore replay of the live feed.

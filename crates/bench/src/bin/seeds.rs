@@ -37,7 +37,7 @@ fn main() {
         let fig2 = figures::figure2(&mission);
         let fig3 = figures::figure3(
             &mission,
-            runner.pipeline().plan(),
+            &runner.pipeline().context().plan,
             &runner.world().beacons,
             AstronautId::A,
         );

@@ -3,7 +3,7 @@
 
 use crate::sync::SyncCorrection;
 use crate::wear::WearTrack;
-use ares_badge::records::{BadgeLog, ImuSample};
+use ares_badge::records::ImuSample;
 use ares_badge::sensors::WALK_VAR_THRESHOLD;
 use ares_simkit::series::{Interval, IntervalSet};
 use ares_simkit::time::{SimDuration, SimTime};
@@ -43,23 +43,12 @@ pub struct ActivityTrack {
     pub worn_windows: usize,
 }
 
-/// Detects walking bouts from a badge's inertial stream.
+/// Detects walking bouts from a badge's inertial window stream (the engine
+/// feeds it [`ares_badge::telemetry::TelemetryView::imu_samples`]).
 ///
 /// Only windows during which the badge was actually worn count (a badge
 /// carried in a bag or left on a cart would pollute the statistic; wear
 /// detection is the upstream filter).
-#[must_use]
-pub fn detect_walking(
-    log: &BadgeLog,
-    corr: &SyncCorrection,
-    wear: &WearTrack,
-    params: &ActivityParams,
-) -> ActivityTrack {
-    detect_walking_iter(log.imu.iter().copied(), corr, wear, params)
-}
-
-/// [`detect_walking`] over any inertial window stream — the shared kernel
-/// behind the row façade and the columnar view path.
 #[must_use]
 pub fn detect_walking_iter(
     samples: impl Iterator<Item = ImuSample>,
@@ -116,12 +105,13 @@ pub fn walking_fraction(
 mod tests {
     use super::*;
     use ares_badge::records::{BadgeId, ImuSample};
+    use ares_badge::telemetry::TelemetryStore;
     use ares_simkit::series::Interval;
 
-    fn log_with_pattern(walk_secs: i64, still_secs: i64) -> BadgeLog {
-        let mut log = BadgeLog::new(BadgeId(0));
+    fn log_with_pattern(walk_secs: i64, still_secs: i64) -> TelemetryStore {
+        let mut log = TelemetryStore::new(BadgeId(0));
         for t in 0..walk_secs {
-            log.imu.push(ImuSample {
+            log.push_imu(ImuSample {
                 t_local: SimTime::from_secs(t),
                 accel_var: 1.2,
                 accel_mean: 9.8,
@@ -129,7 +119,7 @@ mod tests {
             });
         }
         for t in walk_secs..walk_secs + still_secs {
-            log.imu.push(ImuSample {
+            log.push_imu(ImuSample {
                 t_local: SimTime::from_secs(t),
                 accel_var: 0.03,
                 accel_mean: 9.8,
@@ -157,7 +147,12 @@ mod tests {
         let log = log_with_pattern(30, 70);
         let corr = SyncCorrection::identity();
         let wear = worn_all(100);
-        let act = detect_walking(&log, &corr, &wear, &ActivityParams::default());
+        let act = detect_walking_iter(
+            log.view().imu_samples(),
+            &corr,
+            &wear,
+            &ActivityParams::default(),
+        );
         let f = walking_fraction(&act, &wear, SimTime::from_secs(0), SimTime::from_secs(100));
         assert!((f - 0.3).abs() < 0.05, "fraction {f}");
         assert_eq!(act.worn_windows, 100);
@@ -175,7 +170,12 @@ mod tests {
             )]),
             active: worn_all(100).active,
         };
-        let act = detect_walking(&log, &corr, &wear, &ActivityParams::default());
+        let act = detect_walking_iter(
+            log.view().imu_samples(),
+            &corr,
+            &wear,
+            &ActivityParams::default(),
+        );
         assert!(act.walking.is_empty());
         assert_eq!(act.worn_windows, 70);
     }
@@ -183,17 +183,17 @@ mod tests {
     #[test]
     fn high_variance_without_steps_is_not_walking() {
         // Vibration (workshop tools) has variance but no gait band.
-        let mut log = BadgeLog::new(BadgeId(0));
+        let mut log = TelemetryStore::new(BadgeId(0));
         for t in 0..50 {
-            log.imu.push(ImuSample {
+            log.push_imu(ImuSample {
                 t_local: SimTime::from_secs(t),
                 accel_var: 2.0,
                 accel_mean: 9.8,
                 step_hz: None,
             });
         }
-        let act = detect_walking(
-            &log,
+        let act = detect_walking_iter(
+            log.view().imu_samples(),
             &SyncCorrection::identity(),
             &worn_all(50),
             &ActivityParams::default(),
@@ -203,17 +203,17 @@ mod tests {
 
     #[test]
     fn bouts_merge_across_small_gaps() {
-        let mut log = BadgeLog::new(BadgeId(0));
+        let mut log = TelemetryStore::new(BadgeId(0));
         for t in [0, 1, 2, 5, 6] {
-            log.imu.push(ImuSample {
+            log.push_imu(ImuSample {
                 t_local: SimTime::from_secs(t),
                 accel_var: 1.0,
                 accel_mean: 9.8,
                 step_hz: Some(1.7),
             });
         }
-        let act = detect_walking(
-            &log,
+        let act = detect_walking_iter(
+            log.view().imu_samples(),
             &SyncCorrection::identity(),
             &worn_all(10),
             &ActivityParams::default(),

@@ -1,5 +1,6 @@
-//! The mission engine: staged analysis kernels shared by the batch pipeline
-//! and the streaming analyzer, plus a deterministic parallel executor.
+//! The mission engine: staged analysis kernels shared by the batch path and
+//! the streaming analyzer, plus a deterministic parallel executor — the one
+//! analysis API over recorded columnar telemetry.
 //!
 //! The paper's analysis of 150 GiB of badge data is a staged per-badge-day
 //! workflow — clock-correct, localize, classify wear/walking/speech, resolve
@@ -13,7 +14,7 @@
 //! * Stage kernels ([`stage_sync_fit`], [`stage_localize`], [`stage_wear`],
 //!   [`stage_activity`], [`stage_speech`], [`stage_stays`],
 //!   [`stage_identity`]) — the per-badge-day passes with typed artifacts.
-//!   The batch pipeline composes them via [`analyze_badge_day`]; the
+//!   The batch path composes them via [`analyze_badge_day`]; the
 //!   streaming analyzer applies the *same* frame/window/scan rules
 //!   incrementally (see [`crate::speech::frame_qualifies`],
 //!   [`crate::wear::window_on_body`], [`crate::localization::ScanSmoother`]).
@@ -33,7 +34,7 @@ use crate::pipeline::{AstronautDaily, BadgeDay, DayAnalysis, MissionAnalysis, Pi
 use crate::speech::{self, SpeechTrack};
 use crate::sync::SyncCorrection;
 use crate::wear::{self, WearTrack};
-use ares_badge::records::{BadgeId, BadgeLog};
+use ares_badge::records::BadgeId;
 use ares_badge::telemetry::{TelemetryStore, TelemetryView};
 use ares_crew::roster::AstronautId;
 use ares_crew::schedule::Schedule;
@@ -353,8 +354,9 @@ pub fn stage_identity(
 
 /// Runs all per-badge stages over one badge-day, recording per-stage metrics.
 ///
-/// This is the unit of work the parallel executor fans out; the batch
-/// pipeline calls it in log order, and both produce identical [`BadgeDay`]s.
+/// This is the unit of work the parallel executor fans out; the sequential
+/// [`analyze_day_stores`] calls it in store order, and both produce
+/// identical [`BadgeDay`]s.
 #[must_use]
 pub fn analyze_badge_day(
     ctx: &MissionContext,
@@ -440,7 +442,7 @@ pub fn analyze_badge_day(
 /// Day-level assembly: identity resolution, meetings, passages, daily
 /// aggregates, private conversations, room climate. Purely sequential — it
 /// needs every badge of the day — and deterministic given `badges` in
-/// canonical (log) order.
+/// canonical (store) order.
 #[must_use]
 pub fn assemble_day(
     ctx: &MissionContext,
@@ -568,19 +570,6 @@ pub fn assemble_day(
     out
 }
 
-/// Analyzes one day of badge logs sequentially (row façade): converts the
-/// logs into columnar stores once, then delegates to [`analyze_day_stores`].
-#[must_use]
-pub fn analyze_day(
-    ctx: &MissionContext,
-    day: u32,
-    logs: &[BadgeLog],
-    metrics: &mut EngineMetrics,
-) -> DayAnalysis {
-    let stores: Vec<TelemetryStore> = logs.iter().map(TelemetryStore::from).collect();
-    analyze_day_stores(ctx, day, &stores, metrics)
-}
-
 /// Analyzes one day of columnar telemetry sequentially: per-badge stages in
 /// store order over zero-copy views, then day-level assembly.
 #[must_use]
@@ -590,12 +579,18 @@ pub fn analyze_day_stores(
     stores: &[TelemetryStore],
     metrics: &mut EngineMetrics,
 ) -> DayAnalysis {
-    let badges: Vec<BadgeDay> = stores
-        .iter()
-        .filter(|store| store.badge != BadgeId::REFERENCE)
+    let badges: Vec<BadgeDay> = badge_stores(stores)
         .map(|store| analyze_badge_day(ctx, day, store.view(), metrics))
         .collect();
     assemble_day(ctx, day, stores, badges, metrics)
+}
+
+/// The stores that carry per-badge analysis work: every unit except the
+/// reference badge (whose environmental stream only feeds assembly).
+fn badge_stores(stores: &[TelemetryStore]) -> impl Iterator<Item = &TelemetryStore> {
+    stores
+        .iter()
+        .filter(|store| store.badge != BadgeId::REFERENCE)
 }
 
 /// Private-conversation mining: "the infrared transceiver … enables assessing
@@ -702,6 +697,10 @@ struct UnitTask<'a> {
     view: TelemetryView<'a>,
 }
 
+/// One habitat's input to the batch loop: its context and its recorded
+/// days in canonical order.
+type HabitatBatch<'a> = (&'a MissionContext, &'a [(u32, Vec<TelemetryStore>)]);
+
 /// One habitat's recorded days plus its interned context — the batch unit
 /// the fleet scheduler hands to [`MissionEngine::analyze_fleet_stores`].
 #[derive(Debug)]
@@ -733,16 +732,17 @@ impl MissionEngine {
         }
     }
 
-    /// The canonical ICAres-1 engine.
-    #[must_use]
-    pub fn icares() -> Self {
-        MissionEngine::new(MissionContext::icares())
-    }
-
     /// The mission context.
     #[must_use]
     pub fn context(&self) -> &MissionContext {
         &self.ctx
+    }
+
+    /// The interned context handle (cheap to clone into other engines and
+    /// fleet batches).
+    #[must_use]
+    pub fn context_arc(&self) -> Arc<MissionContext> {
+        Arc::clone(&self.ctx)
     }
 
     /// The worker count.
@@ -759,15 +759,6 @@ impl MissionEngine {
     #[must_use]
     pub fn metrics(&self) -> EngineMetrics {
         self.metrics.lock().expect("metrics lock").clone()
-    }
-
-    /// Clears the accumulated metrics.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a worker thread panicked while holding the metrics lock.
-    pub fn reset_metrics(&self) {
-        *self.metrics.lock().expect("metrics lock") = EngineMetrics::new();
     }
 
     fn merge_metrics(&self, local: &EngineMetrics) {
@@ -817,22 +808,11 @@ impl MissionEngine {
             .collect()
     }
 
-    /// Analyzes one day of badge logs (row façade): converts to columnar
-    /// stores once, then fans the views across workers. Bit-identical to
-    /// [`analyze_day`].
-    #[must_use]
-    pub fn analyze_day(&self, day: u32, logs: &[BadgeLog]) -> DayAnalysis {
-        let stores: Vec<TelemetryStore> = logs.iter().map(TelemetryStore::from).collect();
-        self.analyze_day_stores(day, &stores)
-    }
-
     /// Analyzes one day of columnar telemetry, fanning zero-copy badge views
     /// across workers. Bit-identical to [`analyze_day_stores`].
     #[must_use]
     pub fn analyze_day_stores(&self, day: u32, stores: &[TelemetryStore]) -> DayAnalysis {
-        let tasks: Vec<UnitTask<'_>> = stores
-            .iter()
-            .filter(|store| store.badge != BadgeId::REFERENCE)
+        let tasks: Vec<UnitTask<'_>> = badge_stores(stores)
             .map(|store| UnitTask {
                 ctx: &self.ctx,
                 day,
@@ -846,52 +826,15 @@ impl MissionEngine {
         out
     }
 
-    /// Analyzes a batch of recorded days (row façade): converts each day's
-    /// logs into columnar stores, then delegates to
-    /// [`MissionEngine::analyze_days_stores`].
-    #[must_use]
-    pub fn analyze_days(&self, days: &[(u32, Vec<BadgeLog>)]) -> MissionAnalysis {
-        let day_stores: Vec<(u32, Vec<TelemetryStore>)> = days
-            .iter()
-            .map(|&(day, ref logs)| (day, logs.iter().map(TelemetryStore::from).collect()))
-            .collect();
-        self.analyze_days_stores(&day_stores)
-    }
-
     /// Analyzes a batch of recorded days, fanning **all** badge-day views
     /// across workers at once, then assembling and absorbing each day in
     /// canonical order. Bit-identical to analyzing each day sequentially and
     /// absorbing in day order (including the recorded-byte accounting).
     #[must_use]
     pub fn analyze_days_stores(&self, days: &[(u32, Vec<TelemetryStore>)]) -> MissionAnalysis {
-        let tasks: Vec<UnitTask<'_>> = days
-            .iter()
-            .flat_map(|&(day, ref stores)| {
-                stores
-                    .iter()
-                    .filter(|store| store.badge != BadgeId::REFERENCE)
-                    .map(move |store| UnitTask {
-                        ctx: &self.ctx,
-                        day,
-                        view: store.view(),
-                    })
-            })
-            .collect();
-        let mut analyzed = self.fan_out(&tasks).into_iter();
-        let mut local = EngineMetrics::new();
-        let mut mission = MissionAnalysis::new(&self.ctx.plan);
-        for (day, stores) in days {
-            let n = stores
-                .iter()
-                .filter(|store| store.badge != BadgeId::REFERENCE)
-                .count();
-            let badges: Vec<BadgeDay> = analyzed.by_ref().take(n).collect();
-            let day_analysis = assemble_day(&self.ctx, *day, stores, badges, &mut local);
-            mission.account_recorded(stores.iter().map(|s| s.bytes_written).sum());
-            mission.absorb(day_analysis);
-        }
-        self.merge_metrics(&local);
-        mission
+        self.analyze_batch(&[(&self.ctx, days)])
+            .pop()
+            .expect("one habitat in, one mission out")
     }
 
     /// Analyzes a fleet batch — several habitats' recorded days, each under
@@ -905,37 +848,48 @@ impl MissionEngine {
     /// slot, and assembly is sequential in canonical order.
     #[must_use]
     pub fn analyze_fleet_stores(&self, batch: &[HabitatDays]) -> Vec<(u32, MissionAnalysis)> {
-        let tasks: Vec<UnitTask<'_>> = batch
+        let habitats: Vec<HabitatBatch<'_>> = batch
             .iter()
-            .flat_map(|hab| {
-                hab.days.iter().flat_map(move |&(day, ref stores)| {
-                    stores
-                        .iter()
-                        .filter(|store| store.badge != BadgeId::REFERENCE)
-                        .map(move |store| UnitTask {
-                            ctx: &hab.ctx,
-                            day,
-                            view: store.view(),
-                        })
+            .map(|hab| (&*hab.ctx, hab.days.as_slice()))
+            .collect();
+        batch
+            .iter()
+            .map(|hab| hab.habitat)
+            .zip(self.analyze_batch(&habitats))
+            .collect()
+    }
+
+    /// The one batch loop behind [`Self::analyze_days_stores`] and
+    /// [`Self::analyze_fleet_stores`]: fans every badge-day of every habitat
+    /// across the pool, then per habitat and day, in canonical order, takes
+    /// that day's badge results, assembles the day, accounts its recorded
+    /// bytes and absorbs it into the habitat's mission.
+    fn analyze_batch(&self, habitats: &[HabitatBatch<'_>]) -> Vec<MissionAnalysis> {
+        let tasks: Vec<UnitTask<'_>> = habitats
+            .iter()
+            .flat_map(|&(ctx, days)| {
+                days.iter().flat_map(move |&(day, ref stores)| {
+                    badge_stores(stores).map(move |store| UnitTask {
+                        ctx,
+                        day,
+                        view: store.view(),
+                    })
                 })
             })
             .collect();
         let mut analyzed = self.fan_out(&tasks).into_iter();
         let mut local = EngineMetrics::new();
-        let mut out = Vec::with_capacity(batch.len());
-        for hab in batch {
-            let mut mission = MissionAnalysis::new(&hab.ctx.plan);
-            for (day, stores) in &hab.days {
-                let n = stores
-                    .iter()
-                    .filter(|store| store.badge != BadgeId::REFERENCE)
-                    .count();
+        let mut out = Vec::with_capacity(habitats.len());
+        for &(ctx, days) in habitats {
+            let mut mission = MissionAnalysis::new(&ctx.plan);
+            for (day, stores) in days {
+                let n = badge_stores(stores).count();
                 let badges: Vec<BadgeDay> = analyzed.by_ref().take(n).collect();
-                let day_analysis = assemble_day(&hab.ctx, *day, stores, badges, &mut local);
+                let day_analysis = assemble_day(ctx, *day, stores, badges, &mut local);
                 mission.account_recorded(stores.iter().map(|s| s.bytes_written).sum());
                 mission.absorb(day_analysis);
             }
-            out.push((hab.habitat, mission));
+            out.push(mission);
         }
         self.merge_metrics(&local);
         out
@@ -985,9 +939,9 @@ mod tests {
     #[test]
     fn empty_day_parallel_matches_sequential() {
         let engine = MissionEngine::with_workers(MissionContext::icares(), 4);
-        let parallel = engine.analyze_day(3, &[]);
+        let parallel = engine.analyze_day_stores(3, &[]);
         let mut metrics = EngineMetrics::new();
-        let sequential = analyze_day(engine.context(), 3, &[], &mut metrics);
+        let sequential = analyze_day_stores(engine.context(), 3, &[], &mut metrics);
         assert_eq!(parallel, sequential);
         assert!(parallel.badges.is_empty());
     }

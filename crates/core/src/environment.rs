@@ -5,79 +5,19 @@
 //!
 //! * "The kitchen was also favored by the crew as the cosiest room with the
 //!   highest temperatures" — recovered by joining each badge's environmental
-//!   samples with its localized room at the same instant.
+//!   samples with its localized room at the same instant (the join runs in
+//!   [`crate::engine::assemble_day`] and accumulates in
+//!   [`crate::pipeline::MissionAnalysis::warmest_room`]).
 //! * The mission "aimed at gaining insight into perception of time in
 //!   response to clock shifts" and ran the habitat's lighting on Martian
 //!   time: the artificial day length is *estimated from the light-sensor
 //!   stream alone*, by timing the lights-on transitions drifting through the
 //!   terrestrial day.
 
-use crate::localization::PositionTrack;
 use crate::sync::SyncCorrection;
-use ares_badge::records::{BadgeLog, EnvSample};
-use ares_habitat::rooms::{RoomId, RoomTable};
-use ares_simkit::stats::Running;
+use ares_badge::records::EnvSample;
 use ares_simkit::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
-
-/// Per-room climate statistics recovered from badge sensors.
-#[derive(Debug, Clone, Default)]
-pub struct RoomClimate {
-    temps: RoomTable<Running>,
-}
-
-impl RoomClimate {
-    /// An empty accumulator.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Joins one badge's environmental samples with its localization track:
-    /// each temperature reading is attributed to the room the badge was in.
-    pub fn accumulate(&mut self, log: &BadgeLog, corr: &SyncCorrection, track: &PositionTrack) {
-        for s in &log.env {
-            let t = corr.to_reference(s.t_local);
-            if let Some(fix) = track.at(t) {
-                self.temps.get_mut(fix.room).push(s.temperature_c);
-            }
-        }
-    }
-
-    /// Mean temperature measured in a room (`None` with too few samples).
-    #[must_use]
-    pub fn mean_temp_c(&self, room: RoomId) -> Option<f64> {
-        let r = self.temps.get(room);
-        (r.count() >= 30).then(|| r.mean())
-    }
-
-    /// The warmest room with sufficient data.
-    #[must_use]
-    pub fn warmest_room(&self) -> Option<(RoomId, f64)> {
-        RoomId::ALL
-            .into_iter()
-            .filter_map(|r| self.mean_temp_c(r).map(|m| (r, m)))
-            .max_by(|a, b| a.1.partial_cmp(&b.1).expect("finite means"))
-    }
-
-    /// Renders a per-room summary.
-    #[must_use]
-    pub fn render(&self) -> String {
-        let mut rows: Vec<(RoomId, f64, u64)> = RoomId::ALL
-            .into_iter()
-            .filter_map(|r| {
-                let s = self.temps.get(r);
-                (s.count() > 0).then(|| (r, s.mean(), s.count()))
-            })
-            .collect();
-        rows.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite"));
-        let mut out = String::from("room        mean °C   samples\n");
-        for (room, mean, n) in rows {
-            out.push_str(&format!("{:<11} {:>6.1}   {:>7}\n", room.label(), mean, n));
-        }
-        out
-    }
-}
 
 /// A detected lights-on transition.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -163,11 +103,17 @@ pub fn estimate_day_length(transitions: &[LightsOn]) -> Option<DayLengthEstimate
 mod tests {
     use super::*;
     use ares_badge::records::{BadgeId, EnvSample};
+    use ares_badge::telemetry::TelemetryStore;
     use ares_habitat::environment::SOL;
+    use ares_habitat::rooms::RoomId;
 
-    fn log_with_light_cycle(days: u32, day_length: SimDuration) -> BadgeLog {
+    fn env_of(store: &TelemetryStore) -> Vec<EnvSample> {
+        store.view().env_samples().collect()
+    }
+
+    fn log_with_light_cycle(days: u32, day_length: SimDuration) -> TelemetryStore {
         // Synthetic light stream: on for 55 % of the cycle starting at 29 %.
-        let mut log = BadgeLog::new(BadgeId::REFERENCE);
+        let mut log = TelemetryStore::new(BadgeId::REFERENCE);
         let step = SimDuration::from_secs(60);
         let mut t = SimTime::EPOCH;
         let end = SimTime::EPOCH + SimDuration::from_days(i64::from(days));
@@ -178,7 +124,7 @@ mod tests {
             } else {
                 8.0
             };
-            log.env.push(EnvSample {
+            log.push_env(EnvSample {
                 t_local: t,
                 temperature_c: 21.0,
                 pressure_hpa: 1003.0,
@@ -192,7 +138,7 @@ mod tests {
     #[test]
     fn detects_one_transition_per_cycle() {
         let log = log_with_light_cycle(10, SOL);
-        let tr = detect_lights_on(&log.env, &SyncCorrection::identity(), 50.0, 100.0);
+        let tr = detect_lights_on(&env_of(&log), &SyncCorrection::identity(), 50.0, 100.0);
         // 10 terrestrial days ≈ 9.7 sols → 9 or 10 mornings.
         assert!((9..=10).contains(&tr.len()), "{} transitions", tr.len());
     }
@@ -200,7 +146,7 @@ mod tests {
     #[test]
     fn recovers_the_martian_sol() {
         let log = log_with_light_cycle(14, SOL);
-        let tr = detect_lights_on(&log.env, &SyncCorrection::identity(), 50.0, 100.0);
+        let tr = detect_lights_on(&env_of(&log), &SyncCorrection::identity(), 50.0, 100.0);
         let est = estimate_day_length(&tr).expect("enough mornings");
         let err = (est.day_length - SOL).abs();
         assert!(
@@ -217,25 +163,25 @@ mod tests {
     #[test]
     fn terrestrial_lighting_shows_no_shift() {
         let log = log_with_light_cycle(10, SimDuration::from_hours(24));
-        let tr = detect_lights_on(&log.env, &SyncCorrection::identity(), 50.0, 100.0);
+        let tr = detect_lights_on(&env_of(&log), &SyncCorrection::identity(), 50.0, 100.0);
         let est = estimate_day_length(&tr).expect("enough mornings");
         assert!(est.daily_shift.abs() < SimDuration::from_mins(2));
     }
 
     #[test]
     fn hysteresis_ignores_flicker() {
-        let mut log = BadgeLog::new(BadgeId::REFERENCE);
+        let mut log = TelemetryStore::new(BadgeId::REFERENCE);
         // Hover around the threshold: 90, 110, 95, 105 … then solid daylight.
         let seq = [8.0, 90.0, 110.0, 95.0, 105.0, 420.0, 420.0, 8.0, 420.0];
         for (i, &lux) in seq.iter().enumerate() {
-            log.env.push(EnvSample {
+            log.push_env(EnvSample {
                 t_local: SimTime::from_secs(i as i64 * 60),
                 temperature_c: 21.0,
                 pressure_hpa: 1003.0,
                 light_lux: lux,
             });
         }
-        let tr = detect_lights_on(&log.env, &SyncCorrection::identity(), 50.0, 100.0);
+        let tr = detect_lights_on(&env_of(&log), &SyncCorrection::identity(), 50.0, 100.0);
         // One transition at the 110 reading, one after the 8.0 dip.
         assert_eq!(tr.len(), 2, "{tr:?}");
     }
@@ -248,9 +194,12 @@ mod tests {
 
     #[test]
     fn climate_join_attributes_rooms() {
-        use crate::localization::Fix;
+        use crate::anomaly::Identification;
+        use crate::engine::{assemble_day, EngineMetrics, MissionContext};
+        use crate::localization::{Fix, PositionTrack};
+        use crate::pipeline::{BadgeDay, MissionAnalysis};
         use ares_simkit::geometry::Point2;
-        let mut log = BadgeLog::new(BadgeId(0));
+        let mut log = TelemetryStore::new(BadgeId(0));
         let mut track = PositionTrack::default();
         // First 50 samples in the kitchen at 24.5°, next 50 in storage at 18.5°.
         for i in 0..100i64 {
@@ -267,18 +216,34 @@ mod tests {
                     hits: 3,
                 },
             );
-            log.env.push(EnvSample {
+            log.push_env(EnvSample {
                 t_local: SimTime::from_secs(i * 60),
                 temperature_c: temp,
                 pressure_hpa: 1003.0,
                 light_lux: 400.0,
             });
         }
-        let mut climate = RoomClimate::new();
-        climate.accumulate(&log, &SyncCorrection::identity(), &track);
-        let (room, temp) = climate.warmest_room().expect("data present");
+        let badge = BadgeDay {
+            badge: BadgeId(0),
+            corr: SyncCorrection::identity(),
+            track,
+            wear: Default::default(),
+            activity: Default::default(),
+            speech: Default::default(),
+            stays: Vec::new(),
+            identification: Identification {
+                carrier: None,
+                score: 0.0,
+                mismatch: false,
+            },
+        };
+        let ctx = MissionContext::icares();
+        let day = assemble_day(&ctx, 1, &[log], vec![badge], &mut EngineMetrics::new());
+        assert_eq!(day.climate_sums[RoomId::Kitchen.index()].1, 50);
+        let mut mission = MissionAnalysis::new(&ctx.plan);
+        mission.absorb(day);
+        let (room, temp) = mission.warmest_room().expect("data present");
         assert_eq!(room, RoomId::Kitchen);
         assert!((temp - 24.5).abs() < 0.1);
-        assert!(climate.render().contains("kitchen"));
     }
 }

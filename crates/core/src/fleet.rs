@@ -116,7 +116,7 @@ pub struct HabitatOutcome {
     pub shard: usize,
     /// Analyzed badge-days (non-reference units × recorded days).
     pub badge_days: u64,
-    /// Raw telemetry bytes recorded.
+    /// Simulated SD-card volume recorded (bytes).
     pub bytes: u64,
     /// The habitat's mission aggregates — bit-deterministic.
     pub analysis: MissionAnalysis,
@@ -131,7 +131,7 @@ pub struct ShardReport {
     pub habitats: u32,
     /// Badge-days analyzed.
     pub badge_days: u64,
-    /// Telemetry bytes recorded.
+    /// Simulated SD-card volume recorded (bytes).
     pub bytes: u64,
     /// Shard wall time (record + analyze), seconds.
     pub wall_s: f64,
@@ -146,7 +146,9 @@ pub struct FleetScorecard {
     pub config: FleetConfig,
     /// Total badge-days analyzed.
     pub badge_days: u64,
-    /// Total telemetry bytes recorded.
+    /// Simulated SD-card volume (bytes) across the fleet: the raw on-card
+    /// data every badge wrote, summed from each recorded day's
+    /// `TelemetryStore::bytes_written`. Not an in-memory footprint.
     pub bytes_recorded: u64,
     /// End-to-end wall time, seconds.
     pub wall_s: f64,
@@ -246,11 +248,7 @@ pub fn run_fleet(config: &FleetConfig, source: &(impl HabitatSource + ?Sized)) -
                     for (hab, (habitat, analysis)) in batch.iter().zip(analyzed) {
                         debug_assert_eq!(hab.habitat, habitat, "engine preserved batch order");
                         let badge_days = badge_days_of(&hab.days);
-                        let bytes: u64 = hab
-                            .days
-                            .iter()
-                            .flat_map(|(_, stores)| stores.iter().map(|s| s.bytes_written))
-                            .sum();
+                        let bytes = analysis.bytes_recorded;
                         report.badge_days += badge_days;
                         report.bytes += bytes;
                         *slots[habitat as usize].lock().expect("unshared slot") =

@@ -2,9 +2,9 @@
 //!
 //! This crate is the primary contribution of the reproduction: the analysis
 //! system that turned ICAres-1's 150 GiB of badge recordings into the paper's
-//! findings. It consumes [`ares_badge`] logs (drifting local clocks, lossy
-//! radio, identity mix-ups and all) and produces room occupancy, movement,
-//! speech, meeting and social-network results:
+//! findings. It consumes [`ares_badge`] columnar telemetry stores (drifting
+//! local clocks, lossy radio, identity mix-ups and all) and produces room
+//! occupancy, movement, speech, meeting and social-network results:
 //!
 //! * [`sync`] — clock correction against the reference badge.
 //! * [`localization`] — room classification, in-room trilateration, 28 cm
@@ -25,11 +25,13 @@
 //!   estimator (the habitat ran on Martian time).
 //! * [`engine`] — the staged mission engine: the shared [`engine::MissionContext`],
 //!   the per-badge-day stage kernels, per-stage metrics, and the
-//!   deterministic parallel executor.
+//!   deterministic parallel executor [`engine::MissionEngine`] — the one
+//!   analysis API.
 //! * [`fleet`] — the fleet-scale mission service: hundreds of seeded habitat
 //!   variants sharded behind one deterministic scheduler, with a fleet
 //!   scorecard aggregated across shards.
-//! * [`pipeline`] — the day-by-day orchestration (a façade over [`engine`]).
+//! * [`pipeline`] — the analysis data model: tunables, per-day and
+//!   mission-level results.
 //! * [`streaming`] — the bounded-memory real-time analyzer (the mission
 //!   support system's substrate; Section VI), built on the same stage
 //!   kernels as the batch path.
@@ -40,14 +42,12 @@
 //! # Examples
 //!
 //! ```no_run
-//! use ares_sociometrics::pipeline::{MissionAnalysis, Pipeline};
+//! use ares_sociometrics::engine::{MissionContext, MissionEngine};
 //!
-//! let pipeline = Pipeline::icares();
-//! let mut mission = MissionAnalysis::new(pipeline.plan());
-//! // For each day: feed the badge logs recorded that day.
-//! # let day_logs: Vec<ares_badge::records::BadgeLog> = Vec::new();
-//! let day = pipeline.analyze_day(2, &day_logs);
-//! mission.absorb(day);
+//! let engine = MissionEngine::with_workers(MissionContext::icares(), 1);
+//! // Each entry: a mission day and the telemetry stores recorded that day.
+//! # let days: Vec<(u32, Vec<ares_badge::telemetry::TelemetryStore>)> = Vec::new();
+//! let mission = engine.analyze_days_stores(&days);
 //! let table = ares_sociometrics::report::table_one(&mission);
 //! println!("{}", table.render());
 //! ```
@@ -87,7 +87,7 @@ pub mod prelude {
     pub use crate::localization::{Fix, Heatmap, LocalizationParams, PositionTrack, ScanSmoother};
     pub use crate::meetings::{MeetingObs, MeetingParams};
     pub use crate::occupancy::{PassageMatrix, Stay, StayStats};
-    pub use crate::pipeline::{DayAnalysis, MissionAnalysis, Pipeline, PipelineParams};
+    pub use crate::pipeline::{DayAnalysis, MissionAnalysis, PipelineParams};
     pub use crate::report::{
         fleet_section, headline_stats, scenario_section, table_one, FleetShardRow, HeadlineStats,
         ScenarioPlanRow, TableOne,

@@ -11,7 +11,7 @@
 //!   the 28 cm × 28 cm heatmaps of Fig. 3.
 
 use crate::sync::SyncCorrection;
-use ares_badge::records::{BadgeLog, BeaconScan};
+use ares_badge::records::BeaconScan;
 use ares_badge::telemetry::{ColumnView, ScanHits};
 use ares_habitat::beacons::{BeaconDeployment, BeaconId, BeaconIndex};
 use ares_habitat::rf::{ChannelParams, RangingTable};
@@ -368,13 +368,14 @@ pub struct MergeScratch {
     touched: Vec<u8>,
 }
 
-/// The shared localization loop: smoothing window → per-beacon RSSI merge →
-/// table ranging → position solve, with reusable scratch buffers so the
-/// steady state allocates nothing per scan. Both the row-façade
-/// [`localize`] and the columnar [`localize_scans`] drive this one loop, so
-/// the two paths cannot diverge.
-fn localize_inner<'h>(
-    scans: impl Iterator<Item = (SimTime, &'h [(BeaconId, f64)])>,
+/// The scalar reference form of [`localize_scans`]: smoothing window →
+/// per-beacon RSSI merge → table ranging → position solve, one scan at a
+/// time, with reusable scratch buffers so the steady state allocates nothing
+/// per scan. Kept as the bit-identity oracle the batched kernel is tested
+/// against.
+#[must_use]
+pub fn localize_scans_scalar(
+    scans: ColumnView<'_, ScanHits>,
     corr: &SyncCorrection,
     index: &BeaconIndex,
     plan: &ares_habitat::floorplan::FloorPlan,
@@ -387,7 +388,7 @@ fn localize_inner<'h>(
     let mut scratch = MergeScratch::default();
     let mut merged: Vec<(BeaconId, f64)> = Vec::new();
     let mut anchors: Vec<(Point2, f64)> = Vec::new();
-    for (t_local, hits) in scans {
+    for (t_local, hits) in scans.iter() {
         let Some(room) = smoother.push(t_local, hits, index, params) else {
             continue;
         };
@@ -418,46 +419,6 @@ fn localize_inner<'h>(
         );
     }
     track
-}
-
-/// Localizes a whole badge log onto reference time (row façade; builds the
-/// beacon index on the fly).
-#[must_use]
-pub fn localize(
-    log: &BadgeLog,
-    corr: &SyncCorrection,
-    beacons: &BeaconDeployment,
-    plan: &ares_habitat::floorplan::FloorPlan,
-    params: &LocalizationParams,
-) -> PositionTrack {
-    let index = beacons.index();
-    localize_inner(
-        log.scans.iter().map(|s| (s.t_local, s.hits.as_slice())),
-        corr,
-        &index,
-        plan,
-        params,
-    )
-}
-
-/// The scalar reference form of [`localize_scans`]: the same loop as the row
-/// façade, one scan at a time. Kept as the bit-identity oracle the batched
-/// kernel is tested against.
-#[must_use]
-pub fn localize_scans_scalar(
-    scans: ColumnView<'_, ScanHits>,
-    corr: &SyncCorrection,
-    index: &BeaconIndex,
-    plan: &ares_habitat::floorplan::FloorPlan,
-    params: &LocalizationParams,
-) -> PositionTrack {
-    localize_inner(
-        scans.iter().map(|(t, h)| (t, h.as_slice())),
-        corr,
-        index,
-        plan,
-        params,
-    )
 }
 
 /// Scans buffered per batched solve block. Large enough to amortize the
@@ -646,7 +607,7 @@ impl BatchScratch {
         }
 
         // Emit in arrival order: batch clock correction, monotonic guard,
-        // fix push — the scalar tail of `localize_inner`, verbatim.
+        // fix push — the scalar tail of `localize_scans_scalar`, verbatim.
         self.tloc.clear();
         self.tloc.extend(self.pend.iter().map(|p| p.t_local));
         self.tref.clear();
@@ -1111,14 +1072,13 @@ mod tests {
     }
 
     #[test]
-    fn columnar_localize_matches_row_facade() {
-        use ares_badge::records::BadgeLog;
+    fn batched_localize_matches_scalar_across_rooms() {
         use ares_badge::telemetry::TelemetryStore;
         let world = World::icares();
         let params = LocalizationParams::default();
         let index = world.beacons.index();
         let mut rng = SeedTree::new(35).stream("loc5");
-        let mut log = BadgeLog::new(ares_badge::records::BadgeId(0));
+        let mut store = TelemetryStore::new(ares_badge::records::BadgeId(0));
         for (i, room) in [RoomId::Kitchen, RoomId::Biolab, RoomId::Office]
             .into_iter()
             .cycle()
@@ -1126,7 +1086,7 @@ mod tests {
             .enumerate()
         {
             let pos = world.plan.room_center(room);
-            log.scans.push(scanner::scan(
+            store.push_scan(scanner::scan(
                 &world,
                 pos,
                 SimTime::from_secs(i as i64),
@@ -1134,11 +1094,10 @@ mod tests {
             ));
         }
         let corr = SyncCorrection::identity();
-        let row = localize(&log, &corr, &world.beacons, &world.plan, &params);
-        let store = TelemetryStore::from(&log);
-        let col = localize_scans(store.view().scans, &corr, &index, &world.plan, &params);
-        assert_eq!(row, col, "columnar path must match the row façade");
-        assert!(!row.fixes.is_empty());
+        let scalar = localize_scans_scalar(store.view().scans, &corr, &index, &world.plan, &params);
+        let batched = localize_scans(store.view().scans, &corr, &index, &world.plan, &params);
+        assert_eq!(scalar, batched, "batched path must match the scalar oracle");
+        assert!(!scalar.fixes.is_empty());
     }
 
     #[test]

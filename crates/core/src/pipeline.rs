@@ -1,9 +1,10 @@
-//! The end-to-end offline analysis pipeline.
+//! The analysis data model of the offline pipeline.
 //!
-//! Mirrors the post-mission workflow of the ICAres-1 deployment: badge logs
-//! come in day by day; each day is clock-corrected against the reference
-//! badge, localized, classified for wear/walking/speech, identity-resolved
-//! (catching badge swaps), and folded into mission-level aggregates.
+//! Mirrors the post-mission workflow of the ICAres-1 deployment: badge
+//! telemetry comes in day by day; each day is clock-corrected against the
+//! reference badge, localized, classified for wear/walking/speech,
+//! identity-resolved (catching badge swaps), and folded into mission-level
+//! aggregates.
 //!
 //! The pipeline sees **only recorded data** plus legitimately known metadata:
 //! the floor plan, the beacon placements, the calibrated channel model, the
@@ -11,20 +12,14 @@
 //! the simulation ground truth — the integration tests hold it accountable
 //! against that truth instead.
 //!
-//! The actual staged analysis lives in [`crate::engine`]: [`Pipeline`] is a
-//! thin façade over a [`MissionContext`] and the shared stage kernels, so
-//! the batch path, the parallel [`crate::engine::MissionEngine`] and the
-//! streaming analyzer all run the *same* code. When the engine runs over
-//! columnar stores, the localize and speech stages drop into batched
-//! struct-of-arrays kernels ([`crate::localization::localize_scans`],
-//! [`crate::speech::analyze_view`]) that are bit-identical to the scalar
-//! kernels this row-façade path drives — the contract
-//! `tests/batched_kernels.rs` enforces — so the two entry points still
-//! cannot diverge.
+//! This module holds the tunables ([`PipelineParams`]) and the results
+//! ([`BadgeDay`], [`DayAnalysis`], [`MissionAnalysis`]). The staged analysis
+//! itself runs in [`crate::engine`]: [`crate::engine::MissionEngine`] over
+//! columnar [`ares_badge::telemetry::TelemetryStore`]s is the one analysis
+//! API, and the streaming analyzer shares its stage rules.
 
 use crate::activity::{ActivityParams, ActivityTrack};
 use crate::anomaly::{Identification, IdentityParams};
-use crate::engine::{self, EngineMetrics, MissionContext};
 use crate::localization::{Heatmap, LocalizationParams, PositionTrack};
 use crate::meetings::{MeetingObs, MeetingParams};
 use crate::occupancy::{PassageMatrix, Stay, StayStats};
@@ -32,10 +27,8 @@ use crate::social::{CompanyMatrix, PairwiseLedger};
 use crate::speech::{SpeechParams, SpeechTrack};
 use crate::sync::SyncCorrection;
 use crate::wear::{WearParams, WearTrack};
-use ares_badge::records::{BadgeId, BadgeLog};
+use ares_badge::records::BadgeId;
 use ares_crew::roster::AstronautId;
-use ares_crew::schedule::Schedule;
-use ares_habitat::beacons::BeaconDeployment;
 use ares_habitat::floorplan::FloorPlan;
 use serde::{Deserialize, Serialize};
 
@@ -56,7 +49,7 @@ pub struct PipelineParams {
     pub identity: IdentityParams,
 }
 
-/// The analysis of one badge's log for one day.
+/// The analysis of one badge's telemetry for one day.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BadgeDay {
     /// The unit.
@@ -125,108 +118,6 @@ pub struct DayAnalysis {
     pub reference_env: Vec<ares_badge::records::EnvSample>,
 }
 
-/// The pipeline: a façade over the shared [`MissionContext`] and the
-/// engine's stage kernels. The context is held behind an [`Arc`] so fleet
-/// runs can intern one context per habitat deployment and share it across
-/// every runner, engine and shard that analyzes that habitat.
-#[derive(Debug, Clone)]
-pub struct Pipeline {
-    ctx: std::sync::Arc<MissionContext>,
-}
-
-impl Pipeline {
-    /// Creates a pipeline for a deployment.
-    #[must_use]
-    pub fn new(
-        plan: FloorPlan,
-        beacons: BeaconDeployment,
-        schedule: Schedule,
-        params: PipelineParams,
-    ) -> Self {
-        Pipeline::from_context(MissionContext::new(plan, beacons, schedule, params))
-    }
-
-    /// Wraps an already-built (possibly interned) context.
-    #[must_use]
-    pub fn from_context(ctx: impl Into<std::sync::Arc<MissionContext>>) -> Self {
-        Pipeline { ctx: ctx.into() }
-    }
-
-    /// The canonical ICAres-1 pipeline with default parameters.
-    #[must_use]
-    pub fn icares() -> Self {
-        Pipeline::from_context(MissionContext::icares())
-    }
-
-    /// The shared mission context.
-    #[must_use]
-    pub fn context(&self) -> &MissionContext {
-        &self.ctx
-    }
-
-    /// The interned context handle (cheap to clone into engines and fleet
-    /// batches).
-    #[must_use]
-    pub fn context_arc(&self) -> std::sync::Arc<MissionContext> {
-        self.ctx.clone()
-    }
-
-    /// The parameters in use.
-    #[must_use]
-    pub fn params(&self) -> &PipelineParams {
-        &self.ctx.params
-    }
-
-    /// Mutable access for ablation sweeps. Un-interns the context first
-    /// (clone-on-write) if it is shared, so tweaking one pipeline's tunables
-    /// never perturbs another run holding the same interned context.
-    pub fn params_mut(&mut self) -> &mut PipelineParams {
-        &mut std::sync::Arc::make_mut(&mut self.ctx).params
-    }
-
-    /// The floor plan (for heatmap construction).
-    #[must_use]
-    pub fn plan(&self) -> &FloorPlan {
-        &self.ctx.plan
-    }
-
-    /// The nominal owner of a badge unit per the assignment sheet.
-    #[must_use]
-    pub fn nominal_owner(badge: BadgeId) -> Option<AstronautId> {
-        MissionContext::nominal_owner(badge)
-    }
-
-    /// Analyzes one day of badge logs (sequentially, metrics discarded).
-    /// Use [`crate::engine::MissionEngine`] for the parallel path or
-    /// [`Self::analyze_day_metered`] to keep the stage metrics.
-    #[must_use]
-    pub fn analyze_day(&self, day: u32, logs: &[BadgeLog]) -> DayAnalysis {
-        engine::analyze_day(&self.ctx, day, logs, &mut EngineMetrics::new())
-    }
-
-    /// Analyzes one day of badge logs, accumulating per-stage metrics.
-    #[must_use]
-    pub fn analyze_day_metered(
-        &self,
-        day: u32,
-        logs: &[BadgeLog],
-        metrics: &mut EngineMetrics,
-    ) -> DayAnalysis {
-        engine::analyze_day(&self.ctx, day, logs, metrics)
-    }
-
-    /// Analyzes one day of columnar telemetry stores — the zero-copy path;
-    /// bit-identical to [`Self::analyze_day`] on the equivalent logs.
-    #[must_use]
-    pub fn analyze_day_stores(
-        &self,
-        day: u32,
-        stores: &[ares_badge::telemetry::TelemetryStore],
-    ) -> DayAnalysis {
-        engine::analyze_day_stores(&self.ctx, day, stores, &mut EngineMetrics::new())
-    }
-}
-
 /// Mission-level accumulator over day analyses.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MissionAnalysis {
@@ -246,7 +137,10 @@ pub struct MissionAnalysis {
     pub daily: Vec<[Option<AstronautDaily>; 6]>,
     /// All swap flags: `(day, badge, nominal, resolved)`.
     pub swaps: Vec<(u32, BadgeId, AstronautId, AstronautId)>,
-    /// Raw bytes recorded (summed from logs).
+    /// Simulated SD-card volume (bytes): the raw on-card data the badges
+    /// wrote, summed from each analyzed day's
+    /// [`TelemetryStore::bytes_written`](ares_badge::telemetry::TelemetryStore::bytes_written).
+    /// Not an in-memory footprint.
     pub bytes_recorded: u64,
     /// Accompanied hours per astronaut: total time spent in meetings (the
     /// paper's "company" score before normalization).
@@ -345,15 +239,10 @@ impl MissionAnalysis {
         crate::environment::estimate_day_length(&transitions)
     }
 
-    /// Accounts raw storage volume already summed by the caller (the
-    /// engine's store path sums `TelemetryStore::bytes_written` directly).
+    /// Accounts simulated SD-card volume already summed by the caller (the
+    /// engine sums `TelemetryStore::bytes_written` per day).
     pub fn account_recorded(&mut self, bytes: u64) {
         self.bytes_recorded += bytes;
-    }
-
-    /// Accounts raw storage volume from the day's logs.
-    pub fn account_bytes(&mut self, logs: &[BadgeLog]) {
-        self.account_recorded(logs.iter().map(|l| l.bytes_written).sum::<u64>());
     }
 
     /// Mission-mean of a daily metric for one astronaut.
@@ -391,23 +280,16 @@ impl MissionAnalysis {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn nominal_owners() {
-        assert_eq!(Pipeline::nominal_owner(BadgeId(0)), Some(AstronautId::A));
-        assert_eq!(Pipeline::nominal_owner(BadgeId(5)), Some(AstronautId::F));
-        assert_eq!(Pipeline::nominal_owner(BadgeId(7)), None);
-        assert_eq!(Pipeline::nominal_owner(BadgeId::REFERENCE), None);
-    }
+    use crate::engine::MissionEngine;
 
     #[test]
     fn empty_day_is_harmless() {
-        let pipeline = Pipeline::icares();
-        let day = pipeline.analyze_day(3, &[]);
+        let engine = MissionEngine::with_workers(crate::engine::MissionContext::icares(), 1);
+        let day = engine.analyze_day_stores(3, &[]);
         assert!(day.badges.is_empty());
         assert!(day.meetings.is_empty());
         assert_eq!(day.passages.total(), 0);
-        let mut mission = MissionAnalysis::new(pipeline.plan());
+        let mut mission = MissionAnalysis::new(&engine.context().plan);
         mission.absorb(day);
         assert_eq!(mission.daily.len(), 3);
         assert!(mission.daily[2].iter().all(Option::is_none));

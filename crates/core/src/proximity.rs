@@ -10,7 +10,8 @@
 
 use crate::meetings::MeetingObs;
 use crate::sync::SyncCorrection;
-use ares_badge::records::{BadgeId, BadgeLog};
+use ares_badge::records::BadgeId;
+use ares_badge::telemetry::TelemetryView;
 use ares_crew::roster::AstronautId;
 use ares_simkit::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
@@ -46,24 +47,25 @@ pub struct ColocationIndex {
 }
 
 impl ColocationIndex {
-    /// Builds the index from badge logs (each with its clock correction).
+    /// Builds the index from badge telemetry views (each with its clock
+    /// correction).
     #[must_use]
     pub fn build(
-        logs: &[(&BadgeLog, &SyncCorrection)],
+        views: &[(TelemetryView<'_>, &SyncCorrection)],
         params: &ProximityParams,
     ) -> ColocationIndex {
         let mut windows: BTreeMap<(BadgeId, BadgeId), BTreeSet<i64>> = BTreeMap::new();
-        for (log, corr) in logs {
-            for obs in &log.proximity {
+        for (view, corr) in views {
+            for (t_local, obs) in view.proximity.iter() {
                 if obs.rssi < params.near_rssi_dbm {
                     continue;
                 }
-                let t = corr.to_reference(obs.t_local);
+                let t = corr.to_reference(t_local);
                 let w = t.as_micros().div_euclid(params.window.as_micros());
-                let key = if log.badge <= obs.other {
-                    (log.badge, obs.other)
+                let key = if view.badge <= obs.other {
+                    (view.badge, obs.other)
                 } else {
-                    (obs.other, log.badge)
+                    (obs.other, view.badge)
                 };
                 windows.entry(key).or_default().insert(w);
             }
@@ -160,17 +162,17 @@ pub fn confirm_meetings(
 mod tests {
     use super::*;
     use ares_badge::records::ProximityObs;
+    use ares_badge::telemetry::TelemetryStore;
 
-    fn log_with_obs(badge: BadgeId, obs: Vec<(i64, BadgeId, f64)>) -> BadgeLog {
-        let mut log = BadgeLog::new(badge);
-        log.proximity = obs
-            .into_iter()
-            .map(|(t, other, rssi)| ProximityObs {
+    fn log_with_obs(badge: BadgeId, obs: Vec<(i64, BadgeId, f64)>) -> TelemetryStore {
+        let mut log = TelemetryStore::new(badge);
+        for (t, other, rssi) in obs {
+            log.push_proximity(ProximityObs {
                 t_local: SimTime::from_secs(t),
                 other,
                 rssi,
-            })
-            .collect();
+            });
+        }
         log
     }
 
@@ -182,7 +184,10 @@ mod tests {
         );
         let b = log_with_obs(BadgeId(1), vec![(15, BadgeId(0), -51.0)]);
         let corr = SyncCorrection::identity();
-        let idx = ColocationIndex::build(&[(&a, &corr), (&b, &corr)], &ProximityParams::default());
+        let idx = ColocationIndex::build(
+            &[(a.view(), &corr), (b.view(), &corr)],
+            &ProximityParams::default(),
+        );
         // Windows 0 and 1 → 2 minutes.
         assert!((idx.pair_hours(BadgeId(0), BadgeId(1)) - 2.0 / 60.0).abs() < 1e-9);
         assert_eq!(
@@ -197,7 +202,7 @@ mod tests {
     fn weak_links_are_ignored() {
         let a = log_with_obs(BadgeId(0), vec![(10, BadgeId(1), -75.0)]);
         let corr = SyncCorrection::identity();
-        let idx = ColocationIndex::build(&[(&a, &corr)], &ProximityParams::default());
+        let idx = ColocationIndex::build(&[(a.view(), &corr)], &ProximityParams::default());
         assert_eq!(idx.pair_count(), 0);
     }
 
@@ -210,7 +215,7 @@ mod tests {
             (0..5).map(|i| (i * 60, BadgeId(1), -50.0)).collect(),
         );
         let corr = SyncCorrection::identity();
-        let idx = ColocationIndex::build(&[(&a, &corr)], &ProximityParams::default());
+        let idx = ColocationIndex::build(&[(a.view(), &corr)], &ProximityParams::default());
         let meeting = MeetingObs {
             room: RoomId::Kitchen,
             interval: Interval::new(SimTime::from_secs(0), SimTime::from_secs(600)),

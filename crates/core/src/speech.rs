@@ -14,7 +14,7 @@
 //!   utterances with near-constant fundamental frequency in the TTS band.
 
 use crate::sync::SyncCorrection;
-use ares_badge::records::{AudioFrame, BadgeLog};
+use ares_badge::records::AudioFrame;
 use ares_badge::telemetry::{AudioPayload, ColumnView};
 use ares_simkit::series::{Interval, IntervalSet};
 use ares_simkit::time::{SimDuration, SimTime};
@@ -118,15 +118,8 @@ struct Utterance {
     f0_hz: f64,
 }
 
-/// Analyzes a badge's audio stream (row façade).
-#[must_use]
-pub fn analyze(log: &BadgeLog, corr: &SyncCorrection, params: &SpeechParams) -> SpeechTrack {
-    analyze_iter(log.audio.iter().copied(), corr, params)
-}
-
-/// [`analyze`] over any audio frame stream — the scalar reference kernel
-/// behind the row façade, and the bit-identity oracle for the batched
-/// [`analyze_view`].
+/// Analyzes any audio frame stream — the scalar reference kernel, and the
+/// bit-identity oracle for the batched [`analyze_view`].
 #[must_use]
 pub fn analyze_iter(
     audio: impl Iterator<Item = AudioFrame>,
@@ -146,7 +139,7 @@ pub fn analyze_iter(
     assemble_track(intervals, &utterances, &candidates, params)
 }
 
-/// [`analyze`] over the columnar audio view — the batched hot path driven by
+/// [`analyze_iter`] over the columnar audio view — the batched hot path driven by
 /// the engine.
 ///
 /// One fused pass replaces the scalar kernel's frame materialization and
@@ -491,6 +484,7 @@ pub fn classify_register(track: &SpeechTrack, params: &SpeechParams) -> Option<&
 mod tests {
     use super::*;
     use ares_badge::records::BadgeId;
+    use ares_badge::telemetry::TelemetryStore;
 
     fn frame(t_ms: i64, level: f64, voiced: bool, f0: Option<f64>) -> AudioFrame {
         AudioFrame {
@@ -501,9 +495,11 @@ mod tests {
         }
     }
 
-    fn log_of(frames: Vec<AudioFrame>) -> BadgeLog {
-        let mut log = BadgeLog::new(BadgeId(0));
-        log.audio = frames;
+    fn log_of(frames: Vec<AudioFrame>) -> TelemetryStore {
+        let mut log = TelemetryStore::new(BadgeId(0));
+        for f in frames {
+            log.push_audio(f);
+        }
         log
     }
 
@@ -530,8 +526,8 @@ mod tests {
                 voiced.then_some(200.0),
             ));
         }
-        let track = analyze(
-            &log_of(frames),
+        let track = analyze_iter(
+            log_of(frames).view().audio_frames(),
             &SyncCorrection::identity(),
             &SpeechParams::default(),
         );
@@ -543,8 +539,8 @@ mod tests {
     #[test]
     fn loud_but_unvoiced_frames_do_not_count() {
         let frames: Vec<AudioFrame> = (0..30).map(|i| frame(i * 500, 70.0, false, None)).collect();
-        let track = analyze(
-            &log_of(frames),
+        let track = analyze_iter(
+            log_of(frames).view().audio_frames(),
             &SyncCorrection::identity(),
             &SpeechParams::default(),
         );
@@ -561,8 +557,8 @@ mod tests {
         for i in 10..20 {
             frames.push(frame(i * 500, 67.0, true, Some(120.0)));
         }
-        let track = analyze(
-            &log_of(frames),
+        let track = analyze_iter(
+            log_of(frames).view().audio_frames(),
             &SyncCorrection::identity(),
             &SpeechParams::default(),
         );
@@ -594,8 +590,8 @@ mod tests {
             frames.push(frame(t, 76.0, true, Some(205.0)));
             t += 500;
         }
-        let track = analyze(
-            &log_of(frames),
+        let track = analyze_iter(
+            log_of(frames).view().audio_frames(),
             &SyncCorrection::identity(),
             &SpeechParams::default(),
         );
@@ -611,14 +607,14 @@ mod tests {
             filter_synthetic: false,
             ..Default::default()
         };
-        let naive = analyze(
-            &log_of_frames_clone(),
+        let naive = analyze_iter(
+            log_of_frames_clone().view().audio_frames(),
             &SyncCorrection::identity(),
             &unfixed,
         );
         assert!(naive.self_talk.total_duration().as_secs_f64() > 18.0);
 
-        fn log_of_frames_clone() -> BadgeLog {
+        fn log_of_frames_clone() -> TelemetryStore {
             let mut frames = Vec::new();
             let mut t = 0;
             for _ in 0..3 {
@@ -650,9 +646,7 @@ mod tests {
                 });
                 t += 500;
             }
-            let mut log = BadgeLog::new(BadgeId(0));
-            log.audio = frames;
-            log
+            log_of(frames)
         }
     }
 
@@ -671,8 +665,8 @@ mod tests {
                 t += 500;
             }
         }
-        let track = analyze(
-            &log_of(frames),
+        let track = analyze_iter(
+            log_of(frames).view().audio_frames(),
             &SyncCorrection::identity(),
             &SpeechParams::default(),
         );
@@ -690,8 +684,8 @@ mod tests {
         for i in 30..60 {
             frames.push(frame(i * 500, 41.0, false, None));
         }
-        let track = analyze(
-            &log_of(frames),
+        let track = analyze_iter(
+            log_of(frames).view().audio_frames(),
             &SyncCorrection::identity(),
             &SpeechParams::default(),
         );

@@ -7,7 +7,7 @@
 //! ICAres-1 might be prohibitively large to transfer in time. Thus, support
 //! technology … should rather function autonomously."
 //!
-//! Where [`crate::pipeline`] batches a whole day, [`StreamingAnalyzer`]
+//! Where [`crate::engine`] batches a whole day, [`StreamingAnalyzer`]
 //! ingests records one at a time with **bounded memory** and emits live
 //! events (room changes, speech onsets, meeting starts/ends, wear changes)
 //! the moment the evidence is in. Clock correction is fitted *incrementally*
@@ -15,8 +15,8 @@
 //! never needs to revisit old data.
 //!
 //! Every classification rule here is a **shared stage kernel** from the
-//! batch path: room smoothing is [`ScanSmoother`] (the same type
-//! [`crate::localization::localize`] runs on), the speech-interval rule is
+//! batch path: room smoothing is [`ScanSmoother`] (the same type the
+//! scalar localize oracle runs on), the speech-interval rule is
 //! [`crate::speech::frame_qualifies`] + [`crate::speech::interval_is_speech`],
 //! and the wear vote is [`crate::wear::window_on_body`] +
 //! [`crate::wear::block_worn`]. The streaming analyzer cannot drift from the

@@ -7,7 +7,7 @@
 //! over minute-scale blocks.
 
 use crate::sync::SyncCorrection;
-use ares_badge::records::{BadgeLog, ImuSample};
+use ares_badge::records::ImuSample;
 use ares_badge::sensors::OFF_BODY_VAR_THRESHOLD;
 use ares_simkit::series::{Interval, IntervalSet};
 use ares_simkit::time::{SimDuration, SimTime};
@@ -58,15 +58,8 @@ pub struct WearTrack {
     pub active: IntervalSet,
 }
 
-/// Classifies wear from a badge's inertial stream (row façade).
-#[must_use]
-pub fn detect_wear(log: &BadgeLog, corr: &SyncCorrection, params: &WearParams) -> WearTrack {
-    detect_wear_iter(log.imu.iter().copied(), corr, params)
-}
-
-/// Classifies wear from any inertial window stream — the shared kernel
-/// behind the row façade and the columnar view path (which feeds it
-/// `TelemetryView::imu_samples()`).
+/// Classifies wear from a badge's inertial window stream (the engine feeds
+/// it `TelemetryView::imu_samples()`).
 #[must_use]
 pub fn detect_wear_iter(
     samples: impl Iterator<Item = ImuSample>,
@@ -145,11 +138,12 @@ pub fn active_fraction(track: &WearTrack, from: SimTime, to: SimTime) -> f64 {
 mod tests {
     use super::*;
     use ares_badge::records::{BadgeId, ImuSample};
+    use ares_badge::telemetry::TelemetryStore;
 
-    fn log_worn_then_desk(worn_s: i64, desk_s: i64) -> BadgeLog {
-        let mut log = BadgeLog::new(BadgeId(0));
+    fn log_worn_then_desk(worn_s: i64, desk_s: i64) -> TelemetryStore {
+        let mut log = TelemetryStore::new(BadgeId(0));
         for t in 0..worn_s {
-            log.imu.push(ImuSample {
+            log.push_imu(ImuSample {
                 t_local: SimTime::from_secs(t),
                 accel_var: 0.04,
                 accel_mean: 9.8,
@@ -157,7 +151,7 @@ mod tests {
             });
         }
         for t in worn_s..worn_s + desk_s {
-            log.imu.push(ImuSample {
+            log.push_imu(ImuSample {
                 t_local: SimTime::from_secs(t),
                 accel_var: 0.0004,
                 accel_mean: 9.8,
@@ -170,7 +164,11 @@ mod tests {
     #[test]
     fn separates_worn_from_desk() {
         let log = log_worn_then_desk(600, 600);
-        let track = detect_wear(&log, &SyncCorrection::identity(), &WearParams::default());
+        let track = detect_wear_iter(
+            log.view().imu_samples(),
+            &SyncCorrection::identity(),
+            &WearParams::default(),
+        );
         let worn = worn_fraction(&track, SimTime::from_secs(0), SimTime::from_secs(1200));
         let active = active_fraction(&track, SimTime::from_secs(0), SimTime::from_secs(1200));
         assert!((worn - 0.5).abs() < 0.1, "worn {worn}");
@@ -179,8 +177,12 @@ mod tests {
 
     #[test]
     fn empty_log_has_no_wear() {
-        let log = BadgeLog::new(BadgeId(0));
-        let track = detect_wear(&log, &SyncCorrection::identity(), &WearParams::default());
+        let log = TelemetryStore::new(BadgeId(0));
+        let track = detect_wear_iter(
+            log.view().imu_samples(),
+            &SyncCorrection::identity(),
+            &WearParams::default(),
+        );
         assert!(track.worn.is_empty());
         assert!(track.active.is_empty());
     }
@@ -188,16 +190,20 @@ mod tests {
     #[test]
     fn block_voting_tolerates_noise() {
         // 70 % on-body windows inside a block → worn.
-        let mut log = BadgeLog::new(BadgeId(0));
+        let mut log = TelemetryStore::new(BadgeId(0));
         for t in 0..60 {
-            log.imu.push(ImuSample {
+            log.push_imu(ImuSample {
                 t_local: SimTime::from_secs(t),
                 accel_var: if t % 10 < 7 { 0.05 } else { 0.0003 },
                 accel_mean: 9.8,
                 step_hz: None,
             });
         }
-        let track = detect_wear(&log, &SyncCorrection::identity(), &WearParams::default());
+        let track = detect_wear_iter(
+            log.view().imu_samples(),
+            &SyncCorrection::identity(),
+            &WearParams::default(),
+        );
         assert!(worn_fraction(&track, SimTime::from_secs(0), SimTime::from_secs(60)) > 0.9);
     }
 }

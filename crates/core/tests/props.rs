@@ -1,15 +1,16 @@
 //! Property tests for the sociometric pipeline's kernels.
 
-use ares_badge::records::{AudioFrame, BadgeId, BadgeLog, ImuSample};
+use ares_badge::records::{AudioFrame, BadgeId, ImuSample};
+use ares_badge::telemetry::TelemetryStore;
 use ares_crew::roster::AstronautId;
 use ares_habitat::rooms::RoomId;
 use ares_simkit::geometry::Point2;
 use ares_simkit::time::{SimDuration, SimTime};
 use ares_sociometrics::localization::{Fix, PositionTrack};
 use ares_sociometrics::occupancy::{segment_stays, PassageMatrix, MIN_STAY};
-use ares_sociometrics::speech::{analyze, SpeechParams};
+use ares_sociometrics::speech::{analyze_view, SpeechParams};
 use ares_sociometrics::sync::SyncCorrection;
-use ares_sociometrics::wear::{detect_wear, WearParams};
+use ares_sociometrics::wear::{detect_wear_iter, WearParams};
 use proptest::prelude::*;
 
 /// A random room walk as 1 Hz fixes: `(room_index, dwell_seconds)` runs.
@@ -72,11 +73,11 @@ proptest! {
     fn wear_fractions_are_fractions(
         blocks in prop::collection::vec((prop::bool::ANY, 10usize..120), 1..20),
     ) {
-        let mut log = BadgeLog::new(BadgeId(0));
+        let mut log = TelemetryStore::new(BadgeId(0));
         let mut t = 0i64;
         for &(worn, n) in &blocks {
             for _ in 0..n {
-                log.imu.push(ImuSample {
+                log.push_imu(ImuSample {
                     t_local: SimTime::from_secs(t),
                     accel_var: if worn { 0.05 } else { 0.0004 },
                     accel_mean: 9.81,
@@ -85,7 +86,7 @@ proptest! {
                 t += 1;
             }
         }
-        let track = detect_wear(&log, &SyncCorrection::identity(), &WearParams::default());
+        let track = detect_wear_iter(log.view().imu_samples(), &SyncCorrection::identity(), &WearParams::default());
         let total = SimTime::from_secs(t) - SimTime::EPOCH;
         prop_assert!(track.worn.total_duration() <= track.active.total_duration());
         prop_assert!(track.active.total_duration() <= total + SimDuration::from_secs(60));
@@ -95,9 +96,9 @@ proptest! {
     fn speech_interval_rule_is_monotone_in_threshold(
         frames in prop::collection::vec((40.0f64..80.0, prop::bool::ANY), 30..120),
     ) {
-        let mut log = BadgeLog::new(BadgeId(0));
+        let mut log = TelemetryStore::new(BadgeId(0));
         for (i, &(level, voiced)) in frames.iter().enumerate() {
-            log.audio.push(AudioFrame {
+            log.push_audio(AudioFrame {
                 t_local: SimTime::from_micros(i as i64 * 500_000),
                 level_db: level,
                 voiced,
@@ -106,8 +107,8 @@ proptest! {
         }
         let strict = SpeechParams { level_threshold_db: 65.0, ..Default::default() };
         let lax = SpeechParams { level_threshold_db: 55.0, ..Default::default() };
-        let t_strict = analyze(&log, &SyncCorrection::identity(), &strict);
-        let t_lax = analyze(&log, &SyncCorrection::identity(), &lax);
+        let t_strict = analyze_view(log.view().audio, &SyncCorrection::identity(), &strict);
+        let t_lax = analyze_view(log.view().audio, &SyncCorrection::identity(), &lax);
         // A stricter threshold can only reduce heard speech.
         prop_assert!(t_strict.heard.total_duration() <= t_lax.heard.total_duration());
         // And interval counts match the same time grid.

@@ -2,8 +2,8 @@
 //!
 //! Assembles the whole vertical slice of the reproduction:
 //!
-//! * [`scenario`] — ground truth → day-by-day badge recordings → offline
-//!   pipeline, via [`MissionRunner`].
+//! * [`scenario`] — ground truth → day-by-day columnar badge telemetry →
+//!   the analysis engine, via [`MissionRunner`].
 //! * [`figures`] — generators for Fig. 2–6, Table I and the prose statistics,
 //!   with ASCII renderings and CSV exports.
 //! * [`calibration`] — the paper's reported values and the automated shape
@@ -13,10 +13,11 @@
 //! # Examples
 //!
 //! ```no_run
-//! use ares_icares::{figures, MissionRunner};
+//! use ares_crew::schedule::MISSION_DAYS;
+//! use ares_icares::{figures, MissionRunner, FIRST_INSTRUMENTED_DAY};
 //!
 //! let runner = MissionRunner::icares();
-//! let mission = runner.run_mission();
+//! let mission = runner.run_days(FIRST_INSTRUMENTED_DAY, MISSION_DAYS, |_| {});
 //! println!("{}", figures::figure2(&mission).render());
 //! ```
 

@@ -13,7 +13,7 @@
 //! the interned parts and owning only its ground truth.
 
 use ares_badge::recorder::Recorder;
-use ares_badge::records::{BadgeLog, MissionRecording, SamplingConfig};
+use ares_badge::records::SamplingConfig;
 use ares_badge::telemetry::TelemetryStore;
 use ares_badge::world::{RfMode, World};
 use ares_crew::behavior::{BehaviorConfig, BehaviorSim};
@@ -25,9 +25,9 @@ use ares_habitat::floorplan::FloorPlan;
 use ares_scenario::ScenarioSpec;
 use ares_simkit::geometry::Point2;
 use ares_simkit::rng::SeedTree;
-use ares_sociometrics::engine::{EngineMetrics, MissionContext, MissionEngine};
+use ares_sociometrics::engine::{MissionContext, MissionEngine};
 use ares_sociometrics::fleet::{FleetConfig, HabitatSource, OpenHabitat};
-use ares_sociometrics::pipeline::{DayAnalysis, MissionAnalysis, Pipeline, PipelineParams};
+use ares_sociometrics::pipeline::{DayAnalysis, MissionAnalysis, PipelineParams};
 use rand::Rng;
 use std::sync::Arc;
 
@@ -128,9 +128,10 @@ impl ScenarioConfig {
     }
 }
 
-/// The assembled scenario: world, crew, ground truth and pipeline. The
-/// deployment parts are `Arc`-held so fleet variants can intern one copy
-/// across hundreds of runners.
+/// The assembled scenario: world, crew, ground truth and a 1-worker analysis
+/// engine over the shared mission context. The deployment parts are
+/// `Arc`-held so fleet variants can intern one copy across hundreds of
+/// runners.
 #[derive(Debug)]
 pub struct MissionRunner {
     world: Arc<World>,
@@ -138,7 +139,7 @@ pub struct MissionRunner {
     schedule: Arc<Schedule>,
     truth: MissionTruth,
     config: ScenarioConfig,
-    pipeline: Pipeline,
+    engine: MissionEngine,
 }
 
 impl MissionRunner {
@@ -167,7 +168,7 @@ impl MissionRunner {
             Arc::new(world),
             Arc::new(roster),
             Arc::new(schedule),
-            Pipeline::from_context(ctx),
+            Arc::new(ctx),
             config,
         )
     }
@@ -175,14 +176,14 @@ impl MissionRunner {
     /// Builds a scenario over an already-interned deployment: shared world
     /// (whose incident script governs both truth and recording — the
     /// `config.incidents` field is ignored here), roster, schedule and
-    /// pipeline context. Only the ground truth is simulated per call; this is
+    /// analysis context. Only the ground truth is simulated per call; this is
     /// the fleet path, where hundreds of variants share one deployment.
     #[must_use]
     pub fn with_shared(
         world: Arc<World>,
         roster: Arc<Roster>,
         schedule: Arc<Schedule>,
-        pipeline: Pipeline,
+        ctx: Arc<MissionContext>,
         config: ScenarioConfig,
     ) -> Self {
         let behavior = BehaviorConfig {
@@ -201,7 +202,7 @@ impl MissionRunner {
             schedule,
             truth,
             config,
-            pipeline,
+            engine: MissionEngine::with_workers(ctx, 1),
         }
     }
 
@@ -235,10 +236,12 @@ impl MissionRunner {
         &self.schedule
     }
 
-    /// The analysis pipeline.
+    /// The runner's 1-worker analysis engine (its context is the shared
+    /// mission context; build a wider engine from
+    /// [`MissionEngine::context_arc`] for parallel analysis).
     #[must_use]
-    pub fn pipeline(&self) -> &Pipeline {
-        &self.pipeline
+    pub fn pipeline(&self) -> &MissionEngine {
+        &self.engine
     }
 
     fn recorder(&self) -> Recorder<'_> {
@@ -289,23 +292,19 @@ impl MissionRunner {
         self.recorder().record_day_stores_scalar(day)
     }
 
-    /// Records and analyzes a single day; returns both the raw recording and
-    /// the day analysis (used by Fig. 5 and by tests). Recording and analysis
-    /// run on the columnar store; the returned [`MissionRecording`] is the
-    /// row façade of the same data.
+    /// Records and analyzes a single day; returns both the recorded stores
+    /// and the day analysis (used by Fig. 5 and by tests).
     #[must_use]
-    pub fn run_day(&self, day: u32) -> (MissionRecording, DayAnalysis) {
+    pub fn run_day(&self, day: u32) -> (Vec<TelemetryStore>, DayAnalysis) {
         let stores = self.record_day_stores(day);
-        let analysis = self.pipeline.analyze_day_stores(day, &stores);
-        let recording = MissionRecording {
-            logs: stores.into_iter().map(BadgeLog::from).collect(),
-        };
-        (recording, analysis)
+        let analysis = self.engine.analyze_day_stores(day, &stores);
+        (stores, analysis)
     }
 
     /// Runs the instrumented days `from..=to`, folding each into the mission
     /// aggregates. `observer` is invoked with each day's analysis before it
-    /// is dropped.
+    /// is dropped; each day's stores are dropped once analyzed, so memory
+    /// stays bounded by one day.
     #[must_use]
     pub fn run_days(
         &self,
@@ -313,47 +312,14 @@ impl MissionRunner {
         to: u32,
         mut observer: impl FnMut(&DayAnalysis),
     ) -> MissionAnalysis {
-        let mut mission = MissionAnalysis::new(self.pipeline.plan());
+        let mut mission = MissionAnalysis::new(&self.engine.context().plan);
         for day in from..=to.min(MISSION_DAYS) {
-            let stores = self.record_day_stores(day);
-            let analysis = self.pipeline.analyze_day_stores(day, &stores);
+            let (stores, analysis) = self.run_day(day);
             mission.account_recorded(stores.iter().map(|s| s.bytes_written).sum());
             observer(&analysis);
             mission.absorb(analysis);
         }
         mission
-    }
-
-    /// Runs the full instrumented mission (days 2–14).
-    #[must_use]
-    pub fn run_mission(&self) -> MissionAnalysis {
-        self.run_days(FIRST_INSTRUMENTED_DAY, MISSION_DAYS, |_| {})
-    }
-
-    /// Runs the instrumented days `from..=to` through the deterministic
-    /// parallel [`MissionEngine`], fanning badge-days across `workers`
-    /// threads. The result is bit-identical to [`Self::run_days`]; returns
-    /// the engine's accumulated per-stage metrics alongside.
-    #[must_use]
-    pub fn run_days_parallel(
-        &self,
-        from: u32,
-        to: u32,
-        workers: usize,
-    ) -> (MissionAnalysis, EngineMetrics) {
-        let engine = MissionEngine::with_workers(self.pipeline.context().clone(), workers);
-        let days: Vec<(u32, Vec<TelemetryStore>)> = (from..=to.min(MISSION_DAYS))
-            .map(|day| (day, self.record_day_stores(day)))
-            .collect();
-        let mission = engine.analyze_days_stores(&days);
-        let metrics = engine.metrics();
-        (mission, metrics)
-    }
-
-    /// Runs the full instrumented mission through the parallel engine.
-    #[must_use]
-    pub fn run_mission_parallel(&self, workers: usize) -> (MissionAnalysis, EngineMetrics) {
-        self.run_days_parallel(FIRST_INSTRUMENTED_DAY, MISSION_DAYS, workers)
     }
 }
 
@@ -425,7 +391,7 @@ impl FleetScenario {
             Arc::clone(&self.world),
             Arc::clone(&self.roster),
             Arc::clone(&self.schedule),
-            Pipeline::from_context(Arc::clone(&self.ctx)),
+            Arc::clone(&self.ctx),
             variant,
         )
     }
@@ -449,8 +415,8 @@ mod tests {
     #[test]
     fn one_day_end_to_end() {
         let runner = MissionRunner::icares();
-        let (recording, analysis) = runner.run_day(3);
-        assert!(recording.total_bytes() > 5_000_000_000);
+        let (stores, analysis) = runner.run_day(3);
+        assert!(stores.iter().map(|s| s.bytes_written).sum::<u64>() > 5_000_000_000);
         // All six astronauts resolved to a badge on a normal day.
         for a in AstronautId::ALL {
             assert!(

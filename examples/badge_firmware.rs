@@ -7,7 +7,7 @@
 //! ```
 
 use ares::badge::power::{Battery, PowerModel};
-use ares::badge::records::BadgeId;
+use ares::badge::records::{BadgeId, BeaconScan};
 use ares::badge::storage;
 use ares::crew::roster::AstronautId;
 use ares::icares::MissionRunner;
@@ -16,9 +16,12 @@ use ares::sociometrics::sync::SyncCorrection;
 
 fn main() {
     let runner = MissionRunner::icares();
-    let (recording, analysis) = runner.run_day(3);
+    let (stores, analysis) = runner.run_day(3);
     let unit = BadgeId(3); // D's badge
-    let log = recording.log(unit).expect("unit recorded");
+    let log = stores
+        .iter()
+        .find(|s| s.badge == unit)
+        .expect("unit recorded");
 
     println!("=== {unit} (worn by D) on mission day 3 ===\n");
     println!("record streams:");
@@ -35,7 +38,7 @@ fn main() {
     );
 
     // Clock drift: what the fitted correction recovered.
-    let corr = SyncCorrection::fit(&log.sync);
+    let corr = SyncCorrection::fit_view(log.sync.view());
     println!("\nclock correction (fitted offline against the reference badge):");
     println!(
         "  offset {:+.3} s, skew {:+.2} ppm, {} samples, RMS residual {:.1} ms",
@@ -51,15 +54,16 @@ fn main() {
     );
 
     // A peek at the first scan — what localization works from.
-    if let Some(scan) = log.scans.iter().find(|s| s.hits.len() >= 3) {
-        println!("\na beacon scan (local time {}):", scan.t_local);
-        for (beacon, rssi) in &scan.hits {
+    if let Some((t_local, hits)) = log.view().scan_hits().find(|(_, h)| h.len() >= 3) {
+        println!("\na beacon scan (local time {t_local}):");
+        for (beacon, rssi) in hits {
             println!("  {beacon}: {rssi:>6.1} dBm");
         }
     }
 
     // The on-card codec round-trips the day's scans.
-    let image = storage::encode_scan_stream(&log.scans);
+    let scans: Vec<BeaconScan> = log.view().beacon_scans().collect();
+    let image = storage::encode_scan_stream(&scans);
     let decoded = storage::decode_scan_stream(image.clone()).expect("card image parses");
     println!(
         "\non-card scan image: {} bytes for {} scans (round-trips: {})",

@@ -7,14 +7,15 @@
 //! cargo run --release --example ergonomics
 //! ```
 
+use ares::crew::schedule::MISSION_DAYS;
 use ares::habitat::floorplan::{FloorPlan, PERIPHERAL_ORDER};
 use ares::habitat::rooms::RoomId;
-use ares::icares::{figures, MissionRunner};
+use ares::icares::{figures, MissionRunner, FIRST_INSTRUMENTED_DAY};
 
 fn main() {
     let runner = MissionRunner::icares();
     println!("running the full mission to collect passage data…\n");
-    let mission = runner.run_mission();
+    let mission = runner.run_days(FIRST_INSTRUMENTED_DAY, MISSION_DAYS, |_| {});
     let fig2 = figures::figure2(&mission);
 
     println!("{}", fig2.render());

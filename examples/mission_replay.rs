@@ -72,9 +72,9 @@ fn main() {
 
     // What the analysis itself cost, stage by stage: replay one
     // representative day through the staged engine with every core.
-    let engine = MissionEngine::new(runner.pipeline().context().clone());
-    let (recording, _) = runner.run_day(3);
-    let _ = engine.analyze_day(3, &recording.logs);
+    let engine = MissionEngine::new(runner.pipeline().context_arc());
+    let stores = runner.record_day_stores(3);
+    let _ = engine.analyze_day_stores(3, &stores);
     println!(
         "=== engine workload (day 3, {} worker(s)) ===",
         engine.workers()

@@ -18,12 +18,12 @@ fn main() {
     // the configured rates, stamps records with its own drifting clock, and
     // the offline pipeline reconstructs the day.
     println!("recording and analyzing mission day 3…\n");
-    let (recording, analysis) = runner.run_day(3);
+    let (stores, analysis) = runner.run_day(3);
 
     println!(
         "raw data written to SD cards: {:.2} GiB across {} badge units",
-        recording.total_bytes() as f64 / (1u64 << 30) as f64,
-        recording.logs.len()
+        stores.iter().map(|s| s.bytes_written).sum::<u64>() as f64 / (1u64 << 30) as f64,
+        stores.len()
     );
 
     // Identity resolution: which badge was which astronaut actually wearing?

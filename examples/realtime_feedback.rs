@@ -15,40 +15,37 @@ use ares::badge::records::BadgeId;
 use ares::icares::MissionRunner;
 use ares::sociometrics::streaming::{LiveEvent, StreamingAnalyzer};
 
-enum Record<'a> {
-    Scan(&'a ares::badge::records::BeaconScan),
-    Audio(&'a ares::badge::records::AudioFrame),
-    Imu(&'a ares::badge::records::ImuSample),
+enum Record {
+    Scan(ares::badge::records::BeaconScan),
+    Audio(ares::badge::records::AudioFrame),
+    Imu(ares::badge::records::ImuSample),
 }
 
 fn main() {
     let runner = MissionRunner::icares();
     println!("recording mission day 4 (the day astronaut C leaves)…");
-    let (recording, _) = runner.run_day(4);
+    let stores = runner.record_day_stores(4);
 
     // Build the multiplexed feed the habitat radio network would deliver.
     let mut sa = StreamingAnalyzer::icares();
     let mut feed: Vec<(i64, BadgeId, Record)> = Vec::new();
-    for log in &recording.logs {
-        for s in &log.sync {
-            sa.ingest_sync(log.badge, s);
+    for store in &stores {
+        let v = store.view();
+        for s in v.sync_samples() {
+            sa.ingest_sync(store.badge, &s);
         }
-        for s in &log.scans {
-            feed.push((s.t_local.as_micros(), log.badge, Record::Scan(s)));
+        for s in v.beacon_scans() {
+            feed.push((s.t_local.as_micros(), store.badge, Record::Scan(s)));
         }
-        for f in &log.audio {
-            feed.push((f.t_local.as_micros(), log.badge, Record::Audio(f)));
+        for f in v.audio_frames() {
+            feed.push((f.t_local.as_micros(), store.badge, Record::Audio(f)));
         }
-        for s in &log.imu {
-            feed.push((s.t_local.as_micros(), log.badge, Record::Imu(s)));
+        for s in v.imu_samples() {
+            feed.push((s.t_local.as_micros(), store.badge, Record::Imu(s)));
         }
     }
     feed.sort_by_key(|&(t, _, _)| t);
-    println!(
-        "feed: {} records from {} units\n",
-        feed.len(),
-        recording.logs.len()
-    );
+    println!("feed: {} records from {} units\n", feed.len(), stores.len());
 
     let started = std::time::Instant::now();
     let mut ticker: Vec<String> = Vec::new();

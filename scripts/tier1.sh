@@ -17,6 +17,12 @@ cargo test -q --workspace
 echo "== tier1: clippy (warnings are errors) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== tier1: paper-claim gate (16 shape checks vs the paper) =="
+# Runs the full 13-day mission and checks every reproduced figure, table and
+# prose statistic against the paper's shape; exits non-zero on any failed
+# claim, so a behavioural drift cannot land green.
+cargo run --release -q -p ares-bench --bin full_repro
+
 echo "== tier1: bench smoke (per-stage timings -> BENCH_pipeline.json) =="
 # bench_smoke writes the artifact fresh; the soaks below splice into it, so
 # order matters: smoke first, then ingest, then fleet, then the guard.

@@ -18,9 +18,11 @@
 //! * [`scenario`] — seeded scenario generation and the habitat-layout
 //!   validator; the canonical world is one spec among many.
 //! * [`badge`] — the badge device model: sensors, radios, drifting clocks,
-//!   storage and power.
+//!   storage, power, and the columnar telemetry store each badge-day is
+//!   recorded into.
 //! * [`sociometrics`] — **the core contribution**: the offline pipeline that
-//!   turns badge logs into the paper's findings.
+//!   turns badge telemetry into the paper's findings, run through one
+//!   analysis API, the mission engine.
 //! * [`support`] — the Section VI mission-support runtime: failover, Earth
 //!   link, alerts, approvals, privacy, resources.
 //! * [`icares`] — the end-to-end scenario, figure generators and calibration
@@ -32,7 +34,8 @@
 //! use ares::icares::MissionRunner;
 //!
 //! let runner = MissionRunner::icares();
-//! let (_recording, analysis) = runner.run_day(3);
+//! let (stores, analysis) = runner.run_day(3);
+//! println!("{} badge stores recorded", stores.len());
 //! println!("{} meetings detected", analysis.meetings.len());
 //! ```
 

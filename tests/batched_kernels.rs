@@ -8,7 +8,7 @@
 //! test pins column lengths that straddle the `LANES = 8` boundary, where a
 //! transpose or remainder-loop bug would hide from round-count testing.
 
-use ares::badge::records::{AudioFrame, BadgeLog, BeaconScan};
+use ares::badge::records::{AudioFrame, BadgeId, BeaconScan};
 use ares::badge::telemetry::TelemetryStore;
 use ares::habitat::beacons::{BeaconDeployment, BeaconId};
 use ares::habitat::floorplan::FloorPlan;
@@ -87,12 +87,14 @@ fn audio_strategy() -> impl Strategy<Value = Vec<AudioFrame>> {
 }
 
 fn store_with(scans: Vec<BeaconScan>, audio: Vec<AudioFrame>) -> TelemetryStore {
-    let log = BadgeLog {
-        scans,
-        audio,
-        ..BadgeLog::default()
-    };
-    TelemetryStore::from(&log)
+    let mut store = TelemetryStore::new(BadgeId(0));
+    for s in scans {
+        store.push_scan(s);
+    }
+    for a in audio {
+        store.push_audio(a);
+    }
+    store
 }
 
 fn assert_localize_bits_match(store: &TelemetryStore, corr: &SyncCorrection) {

@@ -316,22 +316,18 @@ fn proximity_radio_confirms_detected_meetings() {
     use ares::badge::records::BadgeId;
     use ares::sociometrics::proximity::{confirm_meetings, ColocationIndex, ProximityParams};
     let r = runner();
-    let (recording, analysis) = r.run_day(3);
-    let logs: Vec<(
-        &ares::badge::records::BadgeLog,
-        &ares::sociometrics::sync::SyncCorrection,
-    )> = recording
-        .logs
+    let (stores, analysis) = r.run_day(3);
+    let views: Vec<_> = stores
         .iter()
-        .filter_map(|log| {
+        .filter_map(|store| {
             analysis
                 .badges
                 .iter()
-                .find(|b| b.badge == log.badge)
-                .map(|b| (log, &b.corr))
+                .find(|b| b.badge == store.badge)
+                .map(|b| (store.view(), &b.corr))
         })
         .collect();
-    let index = ColocationIndex::build(&logs, &ProximityParams::default());
+    let index = ColocationIndex::build(&views, &ProximityParams::default());
     let badge_of = |a: AstronautId| -> Option<BadgeId> {
         analysis.carrier_of[a.index()].map(|i| analysis.badges[i].badge)
     };

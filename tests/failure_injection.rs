@@ -2,30 +2,38 @@
 //! gracefully, not collapse, when hardware misbehaves — the paper's
 //! resilience requirement.
 
-use ares::badge::records::{BadgeId, MissionRecording};
+use ares::badge::records::BadgeId;
+use ares::badge::telemetry::{Column, TelemetryStore};
 use ares::crew::roster::AstronautId;
 use ares::icares::MissionRunner;
+use ares::simkit::time::SimTime;
 
-fn one_day() -> (MissionRunner, MissionRecording) {
+fn one_day() -> (MissionRunner, Vec<TelemetryStore>) {
     let runner = MissionRunner::icares();
-    let recording = {
-        let (rec, _) = runner.run_day(3);
-        rec
-    };
-    (runner, recording)
+    let stores = runner.record_day_stores(3);
+    (runner, stores)
+}
+
+/// The records of a time-sorted column stamped before `cutoff`.
+fn before<T: Clone>(col: &Column<T>, cutoff: SimTime) -> Column<T> {
+    let mut out = Column::new();
+    for (t, p) in col.view().iter().take_while(|&(t, _)| t < cutoff) {
+        out.push(t, p.clone());
+    }
+    out
 }
 
 #[test]
 fn dead_badge_is_reported_absent_not_misattributed() {
-    let (runner, mut recording) = one_day();
+    let (runner, mut stores) = one_day();
     // E's badge dies completely: no records at all.
     let unit = BadgeId(4);
-    for log in &mut recording.logs {
-        if log.badge == unit {
-            *log = ares::badge::records::BadgeLog::new(unit);
+    for store in &mut stores {
+        if store.badge == unit {
+            *store = TelemetryStore::new(unit);
         }
     }
-    let analysis = runner.pipeline().analyze_day(3, &recording.logs);
+    let analysis = runner.pipeline().analyze_day_stores(3, &stores);
     assert!(
         analysis.carrier_of[AstronautId::E.index()].is_none(),
         "a dead badge must yield 'no data', not a wrong assignment"
@@ -43,12 +51,12 @@ fn dead_badge_is_reported_absent_not_misattributed() {
 
 #[test]
 fn missing_sync_degrades_gracefully() {
-    let (runner, mut recording) = one_day();
+    let (runner, mut stores) = one_day();
     // The reference badge was unreachable all day: nobody has sync samples.
-    for log in &mut recording.logs {
-        log.sync.clear();
+    for store in &mut stores {
+        store.sync = Column::new();
     }
-    let analysis = runner.pipeline().analyze_day(3, &recording.logs);
+    let analysis = runner.pipeline().analyze_day_stores(3, &stores);
     // Identity corrections fall back to the identity mapping; with offsets of
     // a few seconds, room-level results survive.
     let resolved = AstronautId::ALL
@@ -64,17 +72,17 @@ fn missing_sync_degrades_gracefully() {
 
 #[test]
 fn truncated_day_still_analyzes() {
-    let (runner, mut recording) = one_day();
+    let (runner, mut stores) = one_day();
     // A power cut at 13:00: every unit loses the afternoon.
-    let cutoff = ares::simkit::time::SimTime::from_day_hms(3, 13, 0, 0);
-    for log in &mut recording.logs {
-        log.scans.retain(|s| s.t_local < cutoff);
-        log.audio.retain(|s| s.t_local < cutoff);
-        log.imu.retain(|s| s.t_local < cutoff);
-        log.proximity.retain(|s| s.t_local < cutoff);
-        log.ir.retain(|s| s.t_local < cutoff);
+    let cutoff = SimTime::from_day_hms(3, 13, 0, 0);
+    for store in &mut stores {
+        store.scans = before(&store.scans, cutoff);
+        store.audio = before(&store.audio, cutoff);
+        store.imu = before(&store.imu, cutoff);
+        store.proximity = before(&store.proximity, cutoff);
+        store.ir = before(&store.ir, cutoff);
     }
-    let analysis = runner.pipeline().analyze_day(3, &recording.logs);
+    let analysis = runner.pipeline().analyze_day_stores(3, &stores);
     // Mornings contain breakfast and the briefing.
     assert!(
         analysis.meetings.iter().filter(|m| m.planned).count() >= 2,
@@ -84,10 +92,20 @@ fn truncated_day_still_analyzes() {
 
 #[test]
 fn corrupted_scan_stream_is_rejected_cleanly() {
+    use ares::badge::records::BeaconScan;
     use ares::badge::storage::{decode_scan_stream, encode_scan_stream, DecodeScanError};
-    let (_, recording) = one_day();
-    let log = recording.log(BadgeId(0)).unwrap();
-    let image = encode_scan_stream(&log.scans[..100.min(log.scans.len())]);
+    let (_, stores) = one_day();
+    let store = stores.iter().find(|s| s.badge == BadgeId(0)).unwrap();
+    let scans: Vec<BeaconScan> = store
+        .view()
+        .scan_hits()
+        .take(100)
+        .map(|(t_local, hits)| BeaconScan {
+            t_local,
+            hits: hits.to_vec(),
+        })
+        .collect();
+    let image = encode_scan_stream(&scans);
     // Bit-flip the middle of the image.
     let mut bytes = image.to_vec();
     let mid = bytes.len() / 2;
@@ -123,12 +141,7 @@ fn thinned_beacon_deployment_still_classifies_rooms() {
     for room in ares::habitat::rooms::RoomId::FIG2 {
         let pos = plan.room_center(room);
         for i in 0..50 {
-            let scan = ares::badge::scanner::scan(
-                &world,
-                pos,
-                ares::simkit::time::SimTime::from_secs(i),
-                &mut rng,
-            );
+            let scan = ares::badge::scanner::scan(&world, pos, SimTime::from_secs(i), &mut rng);
             if scan.hits.is_empty() {
                 continue;
             }
@@ -159,8 +172,8 @@ fn nominal_fallback_when_schedule_match_is_ambiguous() {
     let plan = ares::habitat::floorplan::FloorPlan::lunares();
     let mut track = PositionTrack::default();
     // Fixes only during lunch (kitchen) — zero discriminating signal.
-    let mut t = ares::simkit::time::SimTime::from_day_hms(5, 12, 30, 0);
-    let end = ares::simkit::time::SimTime::from_day_hms(5, 13, 0, 0);
+    let mut t = SimTime::from_day_hms(5, 12, 30, 0);
+    let end = SimTime::from_day_hms(5, 13, 0, 0);
     while t < end {
         track.fixes.push(
             t,
@@ -189,9 +202,9 @@ fn nominal_fallback_when_schedule_match_is_ambiguous() {
 
 #[test]
 fn pipeline_survives_shuffled_log_order() {
-    let (runner, mut recording) = one_day();
-    recording.logs.reverse();
-    let analysis = runner.pipeline().analyze_day(3, &recording.logs);
+    let (runner, mut stores) = one_day();
+    stores.reverse();
+    let analysis = runner.pipeline().analyze_day_stores(3, &stores);
     for a in AstronautId::ALL {
         assert!(
             analysis.carrier_of[a.index()].is_some(),

@@ -4,7 +4,7 @@
 //! `MissionAnalysis` **byte-identical** to an unfaulted run — and to the
 //! offline batch engine on the same recorded day.
 
-use ares::badge::records::{BadgeId, BeaconScan};
+use ares::badge::records::BadgeId;
 use ares::badge::telemetry::TelemetryStore;
 use ares::icares::MissionRunner;
 use ares::simkit::time::SimTime;
@@ -25,14 +25,8 @@ fn flatten(stores: &[TelemetryStore]) -> Vec<(BadgeId, TelemetryRecord)> {
     let mut feed: Vec<(BadgeId, TelemetryRecord)> = Vec::new();
     for store in stores {
         let v = store.view();
-        for (t, hits) in v.scan_hits() {
-            feed.push((
-                store.badge,
-                TelemetryRecord::Scan(BeaconScan {
-                    t_local: t,
-                    hits: hits.to_vec(),
-                }),
-            ));
+        for s in v.beacon_scans() {
+            feed.push((store.badge, TelemetryRecord::Scan(s)));
         }
         for a in v.audio_frames() {
             feed.push((store.badge, TelemetryRecord::Audio(a)));

@@ -23,7 +23,7 @@ fn all_paper_shape_checks_hold() {
     let fig2 = figures::figure2(&mission);
     let fig3 = figures::figure3(
         &mission,
-        runner.pipeline().plan(),
+        &runner.pipeline().context().plan,
         &runner.world().beacons,
         AstronautId::A,
     );
@@ -65,7 +65,7 @@ fn gender_classification_from_f0_is_correct() {
         (AstronautId::E, "male"),
         (AstronautId::F, "male"),
     ];
-    let params = runner.pipeline().params().speech;
+    let params = runner.pipeline().context().params.speech;
     for (a, want) in expected {
         let idx = analysis.carrier_of[a.index()].expect("resolved");
         let got = classify_register(&analysis.badges[idx].speech, &params);

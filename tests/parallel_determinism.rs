@@ -16,28 +16,29 @@ fn parallel_mission_is_bit_identical_to_sequential() {
 
     // Record every instrumented day once; fold the sequential analysis as we
     // go (this is exactly what `MissionRunner::run_days` does).
-    let mut sequential = MissionAnalysis::new(runner.pipeline().plan());
+    let mut sequential = MissionAnalysis::new(&runner.pipeline().context().plan);
     let mut days = Vec::new();
     for day in FIRST_INSTRUMENTED_DAY..=ares_crew::schedule::MISSION_DAYS {
-        let (recording, analysis) = runner.run_day(day);
-        sequential.account_bytes(&recording.logs);
+        let (stores, analysis) = runner.run_day(day);
+        sequential.account_recorded(stores.iter().map(|s| s.bytes_written).sum());
         sequential.absorb(analysis);
-        days.push((day, recording.logs));
+        days.push((day, stores));
     }
     assert!(!sequential.meetings.is_empty(), "sanity: mission has data");
 
     let badge_days: u64 = days
         .iter()
-        .map(|(_, logs)| {
-            logs.iter()
-                .filter(|l| l.badge != ares_badge::records::BadgeId::REFERENCE)
+        .map(|(_, stores)| {
+            stores
+                .iter()
+                .filter(|s| s.badge != ares_badge::records::BadgeId::REFERENCE)
                 .count() as u64
         })
         .sum();
 
     for workers in [1usize, 2, 4] {
-        let engine = MissionEngine::with_workers(runner.pipeline().context().clone(), workers);
-        let parallel = engine.analyze_days(&days);
+        let engine = MissionEngine::with_workers(runner.pipeline().context_arc(), workers);
+        let parallel = engine.analyze_days_stores(&days);
         assert_eq!(
             parallel, sequential,
             "parallel MissionAnalysis diverged with {workers} worker(s)"
@@ -63,34 +64,12 @@ fn parallel_mission_is_bit_identical_to_sequential() {
         }
         assert_eq!(metrics.get(Stage::Assemble).calls, days.len() as u64);
     }
-
-    // The columnar store path must land on the same bits as the row façade:
-    // batch-on-store ≡ batch-on-façade, again for any worker count.
-    let store_days: Vec<(u32, Vec<ares_badge::telemetry::TelemetryStore>)> = days
-        .iter()
-        .map(|(day, logs)| {
-            (
-                *day,
-                logs.iter()
-                    .map(ares_badge::telemetry::TelemetryStore::from)
-                    .collect(),
-            )
-        })
-        .collect();
-    for workers in [1usize, 2, 4] {
-        let engine = MissionEngine::with_workers(runner.pipeline().context().clone(), workers);
-        let on_stores = engine.analyze_days_stores(&store_days);
-        assert_eq!(
-            on_stores, sequential,
-            "store-path MissionAnalysis diverged from the facade with {workers} worker(s)"
-        );
-    }
 }
 
 /// The batched SoA kernels behind the store path must be *bit*-identical to
 /// their scalar references on real mission data — positions compared through
 /// `f64::to_bits`, not tolerance — and stay so under every worker count the
-/// executor supports (the store path above already pins the full analysis at
+/// executor supports (the test above already pins the full analysis at
 /// 1/2/4 workers; this pins the kernels themselves).
 #[test]
 fn batched_kernels_are_bit_identical_to_scalar_on_mission_data() {
@@ -100,7 +79,7 @@ fn batched_kernels_are_bit_identical_to_scalar_on_mission_data() {
 
     let runner = MissionRunner::icares();
     let stores = runner.record_day_stores(FIRST_INSTRUMENTED_DAY);
-    let ctx = runner.pipeline().context().clone();
+    let ctx = runner.pipeline().context_arc();
     let mut nonempty = 0;
     for store in &stores {
         let view = store.view();

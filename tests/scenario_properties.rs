@@ -11,6 +11,7 @@
 use ares::badge::records::SamplingConfig;
 use ares::icares::{MissionRunner, ScenarioConfig, FIRST_INSTRUMENTED_DAY};
 use ares::scenario::{generate, validate, ScenarioSpec};
+use ares::sociometrics::engine::MissionEngine;
 use proptest::prelude::*;
 use serde::{Deserialize, Serialize};
 
@@ -64,8 +65,9 @@ proptest! {
             runner.record_day_stores_exact(day) == stores,
             "seed {seed}: field cache diverged from the exact oracle"
         );
+        let parallel = MissionEngine::with_workers(runner.pipeline().context_arc(), 4)
+            .analyze_days_stores(&[(day, stores)]);
         let batch = runner.run_days(day, day, |_| {});
-        let (parallel, _) = runner.run_days_parallel(day, day, 4);
         prop_assert_eq!(
             serde_json::to_string(&batch),
             serde_json::to_string(&parallel),

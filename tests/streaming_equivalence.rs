@@ -14,9 +14,13 @@ use std::sync::OnceLock;
 #[test]
 fn streaming_matches_batch_on_a_real_day() {
     let runner = MissionRunner::icares();
-    let (recording, batch) = runner.run_day(3);
+    let (stores, batch) = runner.run_day(3);
     let unit = BadgeId(4); // E's badge
-    let log = recording.log(unit).expect("recorded");
+    let log = stores
+        .iter()
+        .find(|s| s.badge == unit)
+        .expect("recorded")
+        .view();
     let batch_day = batch
         .badges
         .iter()
@@ -27,20 +31,20 @@ fn streaming_matches_batch_on_a_real_day() {
     // Replay in the order the badge produced records: sync first (the badge
     // syncs opportunistically from the very start of the day), then the
     // sensor streams interleaved by timestamp.
-    for s in &log.sync {
-        sa.ingest_sync(unit, s);
+    for s in log.sync_samples() {
+        sa.ingest_sync(unit, &s);
     }
     let mut room_events: Vec<(SimTime, ares::habitat::rooms::RoomId)> = Vec::new();
     let mut speech_events = 0usize;
-    for scan in &log.scans {
-        for e in sa.ingest_scan(unit, scan) {
+    for scan in log.beacon_scans() {
+        for e in sa.ingest_scan(unit, &scan) {
             if let LiveEvent::RoomChanged { room, at, .. } = e {
                 room_events.push((at, room));
             }
         }
     }
-    for frame in &log.audio {
-        for e in sa.ingest_audio(unit, frame) {
+    for frame in log.audio_frames() {
+        for e in sa.ingest_audio(unit, &frame) {
             if matches!(e, LiveEvent::SpeechDetected { .. }) {
                 speech_events += 1;
             }
@@ -100,23 +104,22 @@ fn streaming_matches_batch_on_a_real_day() {
 #[test]
 fn streaming_meeting_events_bracket_batch_meetings() {
     let runner = MissionRunner::icares();
-    let (recording, batch) = runner.run_day(2);
+    let (stores, batch) = runner.run_day(2);
     let mut sa = StreamingAnalyzer::icares();
     // Interleave all badges' scans by local timestamp (true multiplexed feed).
-    let mut feed: Vec<(BadgeId, &ares::badge::records::BeaconScan)> = Vec::new();
-    for log in &recording.logs {
-        for s in &log.sync {
-            sa.ingest_sync(log.badge, s);
+    let mut feed: Vec<(BadgeId, BeaconScan)> = Vec::new();
+    for store in &stores {
+        let v = store.view();
+        for s in v.sync_samples() {
+            sa.ingest_sync(store.badge, &s);
         }
-        for scan in &log.scans {
-            feed.push((log.badge, scan));
-        }
+        feed.extend(v.beacon_scans().map(|scan| (store.badge, scan)));
     }
     feed.sort_by_key(|(_, s)| s.t_local);
     let mut started = 0usize;
     let mut ended = 0usize;
-    for (badge, scan) in feed {
-        for e in sa.ingest_scan(badge, scan) {
+    for (badge, scan) in &feed {
+        for e in sa.ingest_scan(*badge, scan) {
             match e {
                 LiveEvent::MeetingStarted { .. } => started += 1,
                 LiveEvent::MeetingEnded { .. } => ended += 1,
@@ -150,14 +153,8 @@ fn day2_feed() -> &'static (MissionContext, Vec<(BadgeId, TelemetryRecord)>) {
         // shared meetings) while keeping each property case fast.
         for store in stores.iter().take(5) {
             let v = store.view();
-            for (t, hits) in v.scan_hits() {
-                feed.push((
-                    store.badge,
-                    TelemetryRecord::Scan(BeaconScan {
-                        t_local: t,
-                        hits: hits.to_vec(),
-                    }),
-                ));
+            for s in v.beacon_scans() {
+                feed.push((store.badge, TelemetryRecord::Scan(s)));
             }
             for a in v.audio_frames() {
                 feed.push((store.badge, TelemetryRecord::Audio(a)));
