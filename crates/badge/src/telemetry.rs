@@ -136,11 +136,23 @@ impl<T> Column<T> {
         }
     }
 
-    /// Appends another column's records after this one's (stable merge via
-    /// per-record sorted insert when the other column starts earlier).
+    /// Appends another column's records after this one's, with exactly the
+    /// result of [`push`](Self::push)ing them one by one: when `other` starts
+    /// at or after this column's last timestamp both vectors are extended in
+    /// one step (or, into an empty column, moved without a copy), otherwise
+    /// each record takes the stable sorted insert.
     pub fn append(&mut self, other: Column<T>) {
-        for (t, p) in other.ts.into_iter().zip(other.payloads) {
-            self.push(t, p);
+        match (self.ts.last(), other.ts.first()) {
+            (None, _) => *self = other,
+            (Some(&last), Some(&first)) if first < last => {
+                for (t, p) in other.ts.into_iter().zip(other.payloads) {
+                    self.push(t, p);
+                }
+            }
+            _ => {
+                self.ts.extend(other.ts);
+                self.payloads.extend(other.payloads);
+            }
         }
     }
 

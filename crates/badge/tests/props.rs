@@ -1,10 +1,12 @@
 //! Property tests for the badge device model.
 
 use ares_badge::clockdrift::ClockSet;
-use ares_badge::records::{BadgeId, BeaconScan, SamplingConfig};
+use ares_badge::records::{
+    BadgeId, BeaconScan, EnvSample, IrContact, ProximityObs, SamplingConfig, SyncSample,
+};
 use ares_badge::sensors::{ImuModel, OFF_BODY_VAR_THRESHOLD, WALK_VAR_THRESHOLD};
 use ares_badge::storage::{decode_scan, encode_scan, StorageMeter};
-use ares_badge::telemetry::Column;
+use ares_badge::telemetry::{Column, TelemetryStore};
 use ares_crew::truth::WearState;
 use ares_habitat::beacons::BeaconId;
 use ares_simkit::geometry::Point2;
@@ -13,8 +15,88 @@ use ares_simkit::time::{SimDuration, SimTime};
 use bytes::BytesMut;
 use proptest::prelude::*;
 
+/// Pushes one generated record into a store. `t` advances monotonically with
+/// the feed; IR contacts land `back` seconds in the past, the out-of-order
+/// mirrored-contact case.
+fn push_generated(
+    store: &mut TelemetryStore,
+    (kind, t, back, rssi, other): (u8, i64, i64, f64, u8),
+) {
+    let at = SimTime::from_secs(t);
+    match kind {
+        0 => store.push_scan(BeaconScan {
+            t_local: at,
+            hits: vec![(BeaconId(other), rssi), (BeaconId(other + 1), rssi - 3.5)],
+        }),
+        1 => store.push_proximity(ProximityObs {
+            t_local: at,
+            other: BadgeId(other),
+            rssi,
+        }),
+        2 => store.push_ir(IrContact {
+            t_local: SimTime::from_secs(t - back),
+            other: BadgeId(other),
+        }),
+        3 => store.push_env(EnvSample {
+            t_local: at,
+            temperature_c: rssi + 120.0,
+            pressure_hpa: 1013.0,
+            light_lux: f64::from(other),
+        }),
+        _ => store.push_sync(SyncSample {
+            t_local: at,
+            t_reference: SimTime::from_secs(t + i64::from(other)),
+        }),
+    }
+}
+
+/// Every RSSI in a store, as bit patterns (stricter than `f64` equality).
+fn rssi_bits(store: &TelemetryStore) -> Vec<u64> {
+    let v = store.view();
+    v.scan_hits()
+        .flat_map(|(_, hits)| hits.iter().map(|&(_, r)| r.to_bits()))
+        .chain(v.proximity.payloads().iter().map(|p| p.rssi.to_bits()))
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn appending_segments_equals_pushing_into_one_store(
+        ops in prop::collection::vec(
+            (0u8..5, 0i64..4, 0i64..40, -100.0f64..-30.0, 0u8..12),
+            0..240,
+        ),
+        cuts in prop::collection::vec(0usize..10_000, 0..6),
+    ) {
+        let mut clock = 1_000i64;
+        let records: Vec<(u8, i64, i64, f64, u8)> = ops
+            .iter()
+            .map(|&(kind, dt, back, rssi, other)| {
+                clock += dt;
+                (kind, clock, back, rssi, other)
+            })
+            .collect();
+        let mut one = TelemetryStore::new(BadgeId(3));
+        for &r in &records {
+            push_generated(&mut one, r);
+        }
+        let mut bounds: Vec<usize> = cuts.iter().map(|c| c % (records.len() + 1)).collect();
+        bounds.push(0);
+        bounds.push(records.len());
+        bounds.sort_unstable();
+        let mut joined = TelemetryStore::new(BadgeId(3));
+        for w in bounds.windows(2) {
+            let mut segment = TelemetryStore::new(BadgeId(3));
+            for &r in &records[w[0]..w[1]] {
+                push_generated(&mut segment, r);
+            }
+            joined.append(segment);
+        }
+        prop_assert_eq!(rssi_bits(&joined), rssi_bits(&one));
+        prop_assert_eq!(joined, one);
+    }
 
     #[test]
     fn scan_frames_decode_to_what_was_encoded(

@@ -15,7 +15,9 @@
 //! Results are spliced into `BENCH_pipeline.json` (or the path given as the
 //! first argument) as a top-level `"ingest"` object, and a human-readable
 //! reliability scorecard — engine stage timings plus per-shard ingest
-//! health — lands in `artifacts/ingest_scorecard.txt`.
+//! health, checkpoint wall time included — lands in
+//! `artifacts/ingest_scorecard.txt`. The artifact's `clean_checkpoint_s` is
+//! the clean run's checkpoint wall time summed over shards.
 //!
 //! ```text
 //! cargo run --release -p ares-bench --bin ingest_soak [out.json]
@@ -124,6 +126,10 @@ fn main() {
         0.0
     };
 
+    // Wall time the clean run's shards spent taking checkpoints: the share
+    // of `clean_wall_s` the recovery protocol costs.
+    let clean_checkpoint_s: f64 = baseline.shards.iter().map(|s| s.checkpoint_s).sum();
+
     eprintln!("soak: same feed, shard 0 primary killed at noon (chaos run)…");
     let plan = FaultPlan::new(7).with(Fault::ReplicaCrash {
         replica: cfg.replica(0, 0),
@@ -177,6 +183,7 @@ fn main() {
                     .sum::<u64>()
                     .to_string(),
             ),
+            ("clean_checkpoint_s", format!("{clean_checkpoint_s:.6}")),
             ("records_dropped", faulted.records_dropped().to_string()),
             ("recovery_divergent", recovery_divergent.to_string()),
         ],
@@ -195,7 +202,7 @@ fn main() {
     println!("{scorecard}");
     println!(
         "soak day {DAY}: clean {clean_wall_s:.2} s → {sustained_records_per_s:.0} records/s \
-         sustained ({submitted} submitted)"
+         sustained ({submitted} submitted, {clean_checkpoint_s:.3} s in checkpoints)"
     );
     println!(
         "chaos drill: {chaos_wall_s:.2} s, {} failover(s), {} vault restore(s), \

@@ -162,9 +162,9 @@ pub fn engine_section(metrics: &EngineMetrics) -> String {
 
 /// One ingest shard's health row for the mission report: how much telemetry
 /// landed, what backpressure shed (per sensor family), how deep the bounded
-/// queue ran, and how often the shard failed over. Built by the support
-/// crate's ingest server; defined here so the report can render it without a
-/// dependency cycle.
+/// queue ran, how often the shard failed over, and what its checkpoints
+/// cost. Built by the support crate's ingest server; defined here so the
+/// report can render it without a dependency cycle.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct IngestShardRow {
     /// Shard index.
@@ -182,6 +182,8 @@ pub struct IngestShardRow {
     pub failovers: u64,
     /// Checkpoints the vault accepted.
     pub checkpoints: u64,
+    /// Wall time the shard spent taking checkpoints (s).
+    pub checkpoint_s: f64,
 }
 
 impl IngestShardRow {
@@ -198,11 +200,12 @@ impl IngestShardRow {
 #[must_use]
 pub fn ingest_section(rows: &[IngestShardRow]) -> String {
     let mut out = String::from(
-        "ingest service health\nshard  ingested  dropped  depth  peak  failovers  checkpoints\n",
+        "ingest service health\n\
+         shard  ingested  dropped  depth  peak  failovers  checkpoints  ckpt-s\n",
     );
     for r in rows {
         out.push_str(&format!(
-            "{:>5}  {:>8}  {:>7}  {:>5}  {:>4}  {:>9}  {:>11}\n",
+            "{:>5}  {:>8}  {:>7}  {:>5}  {:>4}  {:>9}  {:>11}  {:>6.3}\n",
             r.shard,
             r.ingested,
             r.dropped_total(),
@@ -210,6 +213,7 @@ pub fn ingest_section(rows: &[IngestShardRow]) -> String {
             r.queue_peak,
             r.failovers,
             r.checkpoints,
+            r.checkpoint_s,
         ));
     }
     let shed: Vec<String> = rows
@@ -434,6 +438,7 @@ mod tests {
                 queue_peak: 64,
                 failovers: 1,
                 checkpoints: 4,
+                checkpoint_s: 0.002,
             },
             IngestShardRow {
                 shard: 1,
@@ -443,6 +448,7 @@ mod tests {
                 queue_peak: 12,
                 failovers: 0,
                 checkpoints: 5,
+                checkpoint_s: 0.003,
             },
         ];
         assert_eq!(rows[0].dropped_total(), 7);
