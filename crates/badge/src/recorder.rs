@@ -415,11 +415,13 @@ impl<'a> Recorder<'a> {
                 // pauses full sampling; environment and sync continue below.
                 let sampling = carrier.is_some() && !matches!(ut.wear, WearState::Docked);
                 if sampling {
-                    // BLE scan: replay the run's plan, draws only.
+                    // BLE scan: replay the run's plan, draws only, hits
+                    // straight into the flat scan column.
                     if elapsed % self.config.scan_period.as_micros() == 0 {
-                        store.push_scan(scanner::scan_from_plan(
-                            self.world, &scan_plan, t_local, &mut rng,
-                        ));
+                        store.scans.push(
+                            t_local,
+                            scanner::scan_from_plan(self.world, &scan_plan, &mut rng),
+                        );
                     }
                     // IMU window (walking flag precomputed per tick).
                     if elapsed % self.config.imu_window.as_micros() == 0 {
@@ -583,7 +585,7 @@ impl<'a> Recorder<'a> {
                 if sampling {
                     // BLE scan.
                     if elapsed % self.config.scan_period.as_micros() == 0 {
-                        store.push_scan(scanner::scan_in(
+                        store.push_scan(&scanner::scan_in(
                             self.world,
                             self.rf_mode,
                             room,

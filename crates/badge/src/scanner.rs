@@ -154,21 +154,19 @@ pub fn scan_plan_into(
 }
 
 /// Replays one scan tick against a precomputed plan: one reception draw per
-/// audible candidate, in plan order. Paired with [`scan_plan_into`], emits
-/// exactly what [`scan_in`] would at the planned position.
-pub fn scan_from_plan(
-    world: &World,
-    plan: &[ScanPlanEntry],
-    t_local: SimTime,
-    rng: &mut impl Rng,
-) -> BeaconScan {
-    let mut hits = Vec::new();
-    for &(id, mean) in plan {
-        if let Reception::Received(rssi) = world.ble.transmit_precomputed_mean(mean, rng) {
-            hits.push((id, rssi));
-        }
-    }
-    BeaconScan { t_local, hits }
+/// audible candidate, in plan order, yielding the received `(beacon, RSSI)`
+/// hits lazily so the recorder extends its flat scan column with them
+/// directly. Paired with [`scan_plan_into`], yields exactly the hits
+/// [`scan_in`] would at the planned position.
+pub fn scan_from_plan<'a, R: Rng>(
+    world: &'a World,
+    plan: &'a [ScanPlanEntry],
+    rng: &'a mut R,
+) -> impl Iterator<Item = (ares_habitat::beacons::BeaconId, f64)> + use<'a, R> {
+    plan.iter().filter_map(move |&(id, mean)| {
+        let rssi = world.ble.transmit_precomputed_mean(mean, rng).rssi()?;
+        Some((id, rssi))
+    })
 }
 
 /// The beacons that could conceivably be heard from a room: its own plus
@@ -272,7 +270,10 @@ mod tests {
                         let seed = SeedTree::new(1234).stream_indexed("cell-edge", case);
                         case += 1;
                         let t = SimTime::from_secs(case as i64);
-                        let via_plan = scan_from_plan(&world, &plan, t, &mut seed.clone());
+                        let via_plan = BeaconScan {
+                            t_local: t,
+                            hits: scan_from_plan(&world, &plan, &mut seed.clone()).collect(),
+                        };
                         let direct = scan_in(&world, mode, badge_room, pos, t, &mut seed.clone());
                         assert_eq!(via_plan, direct, "{mode:?} at ({}, {})", pos.x, pos.y);
                     }

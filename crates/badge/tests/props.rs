@@ -6,7 +6,7 @@ use ares_badge::records::{
 };
 use ares_badge::sensors::{ImuModel, OFF_BODY_VAR_THRESHOLD, WALK_VAR_THRESHOLD};
 use ares_badge::storage::{decode_scan, encode_scan, StorageMeter};
-use ares_badge::telemetry::{Column, TelemetryStore};
+use ares_badge::telemetry::{Column, ScanColumn, ScanView, TelemetryStore};
 use ares_crew::truth::WearState;
 use ares_habitat::beacons::BeaconId;
 use ares_simkit::geometry::Point2;
@@ -15,18 +15,21 @@ use ares_simkit::time::{SimDuration, SimTime};
 use bytes::BytesMut;
 use proptest::prelude::*;
 
+/// One generated record: kind, feed time (s), lateness (s), RSSI, the other
+/// party's id and a scan's hit count.
+type GenRecord = (u8, i64, i64, f64, u8, u8);
+
 /// Pushes one generated record into a store. `t` advances monotonically with
 /// the feed; IR contacts land `back` seconds in the past, the out-of-order
-/// mirrored-contact case.
-fn push_generated(
-    store: &mut TelemetryStore,
-    (kind, t, back, rssi, other): (u8, i64, i64, f64, u8),
-) {
+/// mirrored-contact case, and scans up to 3 s in the past with 0–7 hits.
+fn push_generated(store: &mut TelemetryStore, (kind, t, back, rssi, other, n): GenRecord) {
     let at = SimTime::from_secs(t);
     match kind {
-        0 => store.push_scan(BeaconScan {
-            t_local: at,
-            hits: vec![(BeaconId(other), rssi), (BeaconId(other + 1), rssi - 3.5)],
+        0 => store.push_scan(&BeaconScan {
+            t_local: SimTime::from_secs(t - back / 10),
+            hits: (0..n)
+                .map(|h| (BeaconId(other + h), rssi - 3.5 * f64::from(h)))
+                .collect(),
         }),
         1 => store.push_proximity(ProximityObs {
             t_local: at,
@@ -59,23 +62,30 @@ fn rssi_bits(store: &TelemetryStore) -> Vec<u64> {
         .collect()
 }
 
+/// A scan view's rows with RSSI as bit patterns.
+fn scan_bits(view: ScanView<'_>) -> Vec<(SimTime, Vec<(BeaconId, u64)>)> {
+    view.iter()
+        .map(|(t, hits)| (t, hits.iter().map(|&(b, r)| (b, r.to_bits())).collect()))
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
     fn appending_segments_equals_pushing_into_one_store(
         ops in prop::collection::vec(
-            (0u8..5, 0i64..4, 0i64..40, -100.0f64..-30.0, 0u8..12),
+            (0u8..5, 0i64..4, 0i64..40, -100.0f64..-30.0, 0u8..12, 0u8..8),
             0..240,
         ),
         cuts in prop::collection::vec(0usize..10_000, 0..6),
     ) {
         let mut clock = 1_000i64;
-        let records: Vec<(u8, i64, i64, f64, u8)> = ops
+        let records: Vec<GenRecord> = ops
             .iter()
-            .map(|&(kind, dt, back, rssi, other)| {
+            .map(|&(kind, dt, back, rssi, other, n)| {
                 clock += dt;
-                (kind, clock, back, rssi, other)
+                (kind, clock, back, rssi, other, n)
             })
             .collect();
         let mut one = TelemetryStore::new(BadgeId(3));
@@ -193,6 +203,54 @@ proptest! {
             parts += m.bytes();
         }
         prop_assert_eq!(one.bytes(), parts);
+    }
+
+    #[test]
+    fn scan_column_matches_a_naive_row_model(
+        ops in prop::collection::vec(
+            (0i64..4, 0i64..6, 0u8..8, -100.0f64..-30.0, 0u8..20),
+            0..200,
+        ),
+        outer in (0i64..1_500, 0i64..1_500),
+        inner in (0i64..1_500, 0i64..1_500),
+    ) {
+        let mut col = ScanColumn::new();
+        let mut model: Vec<(SimTime, Vec<(BeaconId, f64)>)> = Vec::new();
+        let mut clock = 1_000i64;
+        for &(dt, back, n, rssi, first) in &ops {
+            clock += dt;
+            // Up to 5 s late: out-of-order and equal timestamps both occur.
+            let t = SimTime::from_secs(clock - back);
+            let hits: Vec<(BeaconId, f64)> = (0..n)
+                .map(|h| (BeaconId(first + h), rssi - f64::from(h)))
+                .collect();
+            col.push(t, hits.iter().copied());
+            // Stable insert: after every row stamped at or before `t`.
+            let at = model.partition_point(|&(x, _)| x <= t);
+            model.insert(at, (t, hits));
+        }
+        prop_assert_eq!(col.len(), model.len());
+        let span = |(a, b): (i64, i64)| {
+            (SimTime::from_secs(1_000 + a.min(b)), SimTime::from_secs(1_000 + a.max(b)))
+        };
+        let (o0, o1) = span(outer);
+        let (i0, i1) = span(inner);
+        // A window of a window starts mid-column: its offsets do not start
+        // at zero and still index the column's whole hit array.
+        let views = [
+            (col.view(), SimTime::from_secs(0), SimTime::from_secs(1_000_000)),
+            (col.view().window(o0, o1), o0, o1),
+            (col.view().window(o0, o1).window(i0, i1), o0.max(i0), o1.min(i1)),
+        ];
+        for (view, start, end) in views {
+            let expect: Vec<_> = model
+                .iter()
+                .filter(|&&(t, _)| start <= t && t < end)
+                .map(|(t, hits)| (*t, hits.iter().map(|&(b, r)| (b, r.to_bits())).collect()))
+                .collect();
+            prop_assert_eq!(scan_bits(view), expect);
+            prop_assert_eq!(view.offsets().len(), view.len() + 1);
+        }
     }
 
     #[test]

@@ -362,6 +362,20 @@ fn expect_floor(doc: &Json, path: &[&str], floor: f64, out: &mut Vec<Violation>)
     }
 }
 
+fn expect_ceiling(doc: &Json, path: &[&str], ceiling: f64, out: &mut Vec<Violation>) {
+    match doc.path(path).and_then(Json::num) {
+        Some(got) if got <= ceiling => {}
+        Some(got) => out.push(Violation(format!(
+            "{} regressed: {got} > {ceiling}",
+            path.join(".")
+        ))),
+        None => out.push(Violation(format!(
+            "{} missing or not a number",
+            path.join(".")
+        ))),
+    }
+}
+
 fn expect_positive(doc: &Json, path: &[&str], out: &mut Vec<Violation>) {
     match doc.path(path).and_then(Json::num) {
         Some(got) if got > 0.0 => {}
@@ -388,6 +402,10 @@ pub fn check_pipeline(doc: &Json) -> Vec<Violation> {
     expect_bool(doc, &["record_deterministic"], true, &mut out);
     expect_positive(doc, &["record_wall_s"], &mut out);
     expect_positive(doc, &["store_bytes"], &mut out);
+    // Day 3's counted store footprint is deterministic at the default seed:
+    // 55 127 486 bytes with the CSR scan column (60 347 486 with one `Vec`
+    // per scan), so the ceiling catches a return to per-scan allocation.
+    expect_ceiling(doc, &["store_bytes"], 56_000_000.0, &mut out);
     // Kernel floors: ~60 % of measured steady state on the slowest host.
     expect_floor(
         doc,
@@ -617,7 +635,7 @@ mod tests {
   "deterministic": true,
   "record_deterministic": true,
   "record_wall_s": 0.5,
-  "store_bytes": 60347486,
+  "store_bytes": 55127486,
   "stages": {
     "localize": {"records_per_s": 5359556.7},
     "speech": {"records_per_s": 50062568.6}
@@ -633,7 +651,7 @@ mod tests {
   "deterministic": false,
   "record_deterministic": true,
   "record_wall_s": 0.0,
-  "store_bytes": 1,
+  "store_bytes": 60347486,
   "stages": {
     "localize": {"records_per_s": 100.0},
     "speech": {"records_per_s": 50062568.6}
@@ -650,6 +668,10 @@ mod tests {
             "{text:?}"
         );
         assert!(text.iter().any(|v| v.contains("record_wall_s")), "{text:?}");
+        assert!(
+            text.iter().any(|v| v.contains("store_bytes regressed")),
+            "{text:?}"
+        );
         assert!(
             text.iter().any(|v| v.contains("stages.localize")),
             "{text:?}"

@@ -12,7 +12,7 @@
 
 use crate::sync::SyncCorrection;
 use ares_badge::records::BeaconScan;
-use ares_badge::telemetry::{ColumnView, ScanHits};
+use ares_badge::telemetry::ScanView;
 use ares_habitat::beacons::{BeaconDeployment, BeaconId, BeaconIndex};
 use ares_habitat::rf::{ChannelParams, RangingTable};
 use ares_habitat::rooms::RoomId;
@@ -375,7 +375,7 @@ pub struct MergeScratch {
 /// against.
 #[must_use]
 pub fn localize_scans_scalar(
-    scans: ColumnView<'_, ScanHits>,
+    scans: ScanView<'_>,
     corr: &SyncCorrection,
     index: &BeaconIndex,
     plan: &ares_habitat::floorplan::FloorPlan,
@@ -728,14 +728,15 @@ fn solve_lanes(
 /// path driven by the engine (the pre-built [`BeaconIndex`] comes from
 /// `MissionContext`).
 ///
-/// Phase A walks scans in order, windowing them by **index ring** directly
-/// over the column — the same window [`ScanSmoother`] keeps (last
-/// `smoothing_window` classifiable scans, flushed on a room change) without
-/// copying any hits — and scatter-merges each window into fixed per-beacon
-/// accumulators, gathering each scan's in-room anchors (RSSI still as
-/// `sum`/`count` pairs) into flat SoA buffers. Every [`BLOCK_SCANS`] scans,
-/// phase B ([`BatchScratch::flush`]) averages, ranges, and solves the whole
-/// block lane-wide.
+/// Phase A walks the scan column's CSR offsets once, in order, windowing
+/// scans by a **ring of hit ranges** into the flat hit array — the same
+/// window [`ScanSmoother`] keeps (last `smoothing_window` classifiable scans,
+/// flushed on a room change) without copying any hits — and scatter-merges
+/// each window's contiguous hit slices into fixed per-beacon accumulators,
+/// gathering each scan's in-room anchors (RSSI still as `sum`/`count` pairs)
+/// into flat SoA buffers. Every [`BLOCK_SCANS`] scans, phase B
+/// ([`BatchScratch::flush`]) averages, ranges, and solves the whole block
+/// lane-wide.
 ///
 /// Every per-scan floating-point operation matches
 /// [`localize_scans_scalar`] in kind and order (accumulation in scan-arrival
@@ -744,7 +745,7 @@ fn solve_lanes(
 #[must_use]
 #[allow(clippy::cast_possible_truncation)]
 pub fn localize_scans(
-    scans: ColumnView<'_, ScanHits>,
+    scans: ScanView<'_>,
     corr: &SyncCorrection,
     index: &BeaconIndex,
     plan: &ares_habitat::floorplan::FloorPlan,
@@ -755,11 +756,12 @@ pub fn localize_scans(
     let mut last_t = None;
     let mut batch = BatchScratch::default();
     let window = params.smoothing_window.max(1);
-    let mut ring: Vec<u32> = Vec::with_capacity(window);
+    let mut ring: Vec<(usize, usize)> = Vec::with_capacity(window);
     let mut room_cur: Option<RoomId> = None;
-    let ts = scans.ts();
-    let payloads = scans.payloads();
-    for (si, hits) in payloads.iter().enumerate() {
+    let all_hits = scans.hits();
+    for (&t_local, bounds) in scans.ts().iter().zip(scans.offsets().windows(2)) {
+        let range = (bounds[0] as usize, bounds[1] as usize);
+        let hits = &all_hits[range.0..range.1];
         let Some(room) = classify_room_hits(hits, index) else {
             continue;
         };
@@ -770,9 +772,9 @@ pub fn localize_scans(
         if ring.len() == window {
             ring.remove(0);
         }
-        ring.push(si as u32);
-        for &wi in &ring {
-            for &(id, rssi) in &payloads[wi as usize] {
+        ring.push(range);
+        for &(start, end) in &ring {
+            for &(id, rssi) in &all_hits[start..end] {
                 let i = id.0 as usize;
                 if batch.counts[i] == 0 {
                     batch.touched.push(id.0);
@@ -799,7 +801,7 @@ pub fn localize_scans(
         }
         batch.touched.clear();
         batch.pend.push(PendingFix {
-            t_local: ts[si],
+            t_local,
             room,
             hits: hits.len() as u32,
             astart,
@@ -1086,7 +1088,7 @@ mod tests {
             .enumerate()
         {
             let pos = world.plan.room_center(room);
-            store.push_scan(scanner::scan(
+            store.push_scan(&scanner::scan(
                 &world,
                 pos,
                 SimTime::from_secs(i as i64),

@@ -444,7 +444,7 @@ impl DataPlane {
                     .tail;
                 match record {
                     TelemetryRecord::Scan(r) => {
-                        store.push_scan(r.clone());
+                        store.push_scan(r);
                         let _ = live.analyzer.ingest_scan(*badge, r);
                     }
                     TelemetryRecord::Audio(r) => {
@@ -1281,7 +1281,7 @@ mod tests {
             let mut whole = TelemetryStore::new(*badge);
             for (_, record) in feed.iter().filter(|(b, _)| b == badge) {
                 match record {
-                    TelemetryRecord::Scan(r) => whole.push_scan(r.clone()),
+                    TelemetryRecord::Scan(r) => whole.push_scan(r),
                     TelemetryRecord::Audio(r) => whole.push_audio(*r),
                     TelemetryRecord::Imu(r) => whole.push_imu(*r),
                     TelemetryRecord::Env(r) => whole.push_env(*r),

@@ -89,7 +89,7 @@ fn audio_strategy() -> impl Strategy<Value = Vec<AudioFrame>> {
 fn store_with(scans: Vec<BeaconScan>, audio: Vec<AudioFrame>) -> TelemetryStore {
     let mut store = TelemetryStore::new(BadgeId(0));
     for s in scans {
-        store.push_scan(s);
+        store.push_scan(&s);
     }
     for a in audio {
         store.push_audio(a);

@@ -3,7 +3,7 @@
 //! resilience requirement.
 
 use ares::badge::records::BadgeId;
-use ares::badge::telemetry::{Column, TelemetryStore};
+use ares::badge::telemetry::{Column, ScanColumn, TelemetryStore};
 use ares::crew::roster::AstronautId;
 use ares::icares::MissionRunner;
 use ares::simkit::time::SimTime;
@@ -19,6 +19,15 @@ fn before<T: Clone>(col: &Column<T>, cutoff: SimTime) -> Column<T> {
     let mut out = Column::new();
     for (t, p) in col.view().iter().take_while(|&(t, _)| t < cutoff) {
         out.push(t, p.clone());
+    }
+    out
+}
+
+/// The scans of a scan column stamped before `cutoff`.
+fn scans_before(col: &ScanColumn, cutoff: SimTime) -> ScanColumn {
+    let mut out = ScanColumn::new();
+    for (t, hits) in col.view().iter().take_while(|&(t, _)| t < cutoff) {
+        out.push(t, hits.iter().copied());
     }
     out
 }
@@ -76,7 +85,7 @@ fn truncated_day_still_analyzes() {
     // A power cut at 13:00: every unit loses the afternoon.
     let cutoff = SimTime::from_day_hms(3, 13, 0, 0);
     for store in &mut stores {
-        store.scans = before(&store.scans, cutoff);
+        store.scans = scans_before(&store.scans, cutoff);
         store.audio = before(&store.audio, cutoff);
         store.imu = before(&store.imu, cutoff);
         store.proximity = before(&store.proximity, cutoff);
