@@ -1,10 +1,10 @@
 //! The firmware recorder: turns ground truth into badge telemetry, day by day.
 //!
-//! One [`Recorder::record_day_stores`] call produces the columnar telemetry
-//! stores of all 13 units for one mission day — every sensor stream sampled
-//! at its configured rate, stamped with the unit's drifting local clock. Recording day-by-day keeps memory bounded
-//! (the real mission wrote to SD cards; we hand each day to the pipeline and
-//! drop it).
+//! One [`Recorder::record_day`] call produces the columnar telemetry stores
+//! of all 13 units for one mission day — every sensor stream sampled at its
+//! configured rate, stamped with the unit's drifting local clock. Recording
+//! day-by-day keeps memory bounded (the real mission wrote to SD cards; we
+//! hand each day to the pipeline and drop it).
 //!
 //! Recording is organised unit-by-unit: a shared per-day precomputation
 //! resolves every unit's position, wear state and room once per master tick,
@@ -13,26 +13,33 @@
 //! jobs can fan out across worker threads and the merged result is
 //! bit-identical to the sequential order for any worker count.
 //!
-//! The per-unit replay is a **run-length batched kernel**: astronauts dwell,
-//! so a unit's `(position, room)` is constant for long stretches of
-//! consecutive ticks. All geometry derived from the dwell point — the scan
-//! plan (candidate beacons with lane-batched mean RSSI), the station sync
-//! link's mean, the room's ambient noise floor — is hoisted to the run
-//! boundary, and the tick loop only performs the draws. Every hoisted value
-//! is exactly what the scalar path would recompute per tick, and the culls
-//! only skip packets the channel would reject *before* drawing, so the
-//! recorded bytes and the RNG stream are bit-identical to the retained
-//! scalar reference ([`Recorder::record_day_stores_scalar`]).
+//! The per-unit replay is a **run-length batched kernel** over the RF field
+//! cache: astronauts dwell, so a unit's `(position, room)` is constant for
+//! long stretches of consecutive ticks. All geometry derived from the dwell
+//! point — the scan plan (candidate beacons with lane-batched mean RSSI),
+//! the station sync link's mean, the room's ambient noise floor — is hoisted
+//! to the run boundary, and the tick loop only performs the draws. Rooms and
+//! wall counts come from the cache, which only tabulates cells it can prove
+//! constant; every hoisted value is exactly what a per-tick exact evaluation
+//! would produce, and the culls only skip packets the channel would reject
+//! *before* drawing.
+//!
+//! [`Recorder::record_day_reference`] is that per-tick exact evaluation: the
+//! plain scalar tick loop over exact geometry (polygon room tests and a wall
+//! scan per packet), reading no field-cache value. It shares neither
+//! optimisation with the production kernel, and the two record
+//! bit-identical stores — the contract every recording determinism test
+//! pins.
 
 use crate::clockdrift::{ClockSet, UNIT_COUNT};
 use crate::links;
 use crate::mic::{self, MicModel, MicSampler};
-use crate::records::{BadgeId, ProximityObs, SamplingConfig};
+use crate::records::{BadgeId, ProximityObs, SamplingConfig, SyncSample};
 use crate::scanner;
 use crate::sensors::{EnvSampler, ImuModel, ImuSampler};
 use crate::storage::StorageMeter;
 use crate::telemetry::TelemetryStore;
-use crate::world::{RfMode, World};
+use crate::world::World;
 use ares_crew::roster::{AstronautId, Roster};
 use ares_crew::truth::{MissionTruth, PathCursor, SpeechSegment, WearState};
 use ares_habitat::rooms::RoomId;
@@ -52,7 +59,6 @@ pub struct Recorder<'a> {
     clocks: ClockSet,
     config: SamplingConfig,
     seed: SeedTree,
-    rf_mode: RfMode,
     /// Days on which astronaut A's badge sat muffled under the lab apron.
     muffled_days: Vec<u32>,
 }
@@ -62,7 +68,8 @@ pub struct Recorder<'a> {
 struct UnitTick {
     pos: Point2,
     wear: WearState,
-    /// Room under the recorder's RF mode.
+    /// Room from the field cache (the batched kernel's lookup; the
+    /// reference resolves its own with the exact polygon test).
     room: RoomId,
     /// Raw `is_walking` of the carrier (false for uncarried units); the
     /// kernel still ANDs it with `wear.is_worn()` like the scalar path.
@@ -112,18 +119,8 @@ impl<'a> Recorder<'a> {
             clocks,
             config,
             seed,
-            rf_mode: RfMode::default(),
             muffled_days,
         }
-    }
-
-    /// Selects the RF geometry path (default [`RfMode::Cached`]). Both modes
-    /// record bit-identical telemetry; `Exact` is the slow baseline used by
-    /// benches and equivalence tests.
-    #[must_use]
-    pub fn with_rf_mode(mut self, mode: RfMode) -> Self {
-        self.rf_mode = mode;
-        self
     }
 
     /// The clock set in use (tests compare pipeline corrections against it).
@@ -139,26 +136,17 @@ impl<'a> Recorder<'a> {
     }
 
     /// Records one mission day (1-based) for all units, appending every
-    /// sensor stream directly into columnar [`TelemetryStore`]s.
+    /// sensor stream directly into columnar [`TelemetryStore`]s, on up to
+    /// `workers` threads (one unit per job).
     ///
     /// The recorded span covers the duty day plus the overnight docking
     /// period before the next morning (sync exchanges happen at the
-    /// charger).
+    /// charger). Each unit draws from its own seeded stream, so the result is
+    /// bit-identical for any worker count; the canonical unit order is
+    /// restored by slot-indexed merging (write-once slots — no locks, no
+    /// copies on merge).
     #[must_use]
-    pub fn record_day_stores(&self, day: u32) -> Vec<TelemetryStore> {
-        self.record_day_stores_parallel(day, 1)
-    }
-
-    /// Records one mission day on up to `workers` threads, one unit per job.
-    ///
-    /// Each unit draws from its own seeded stream, so the result is
-    /// bit-identical to [`record_day_stores`] for any worker count; the
-    /// canonical unit order is restored by slot-indexed merging (write-once
-    /// slots — no locks, no copies on merge).
-    ///
-    /// [`record_day_stores`]: Recorder::record_day_stores
-    #[must_use]
-    pub fn record_day_stores_parallel(&self, day: u32, workers: usize) -> Vec<TelemetryStore> {
+    pub fn record_day(&self, day: u32, workers: usize) -> Vec<TelemetryStore> {
         let pre = self.precompute_day(day);
         let workers = workers.clamp(1, UNIT_COUNT);
         let mut stores: Vec<TelemetryStore> = if workers == 1 {
@@ -191,15 +179,15 @@ impl<'a> Recorder<'a> {
         stores
     }
 
-    /// Records one mission day with the pre-batching per-tick loop — the
-    /// reference implementation retained as the bit-identity oracle for the
-    /// run-length batched kernel (equivalence tests and `scenario_soak`
-    /// compare against it).
+    /// Records one mission day with the plain per-tick loop over exact
+    /// geometry — the bit-identity oracle for [`Recorder::record_day`]
+    /// (equivalence tests, `scenario_soak` and `bench_smoke` compare against
+    /// it). Sequential and several times slower; never a production path.
     #[must_use]
-    pub fn record_day_stores_scalar(&self, day: u32) -> Vec<TelemetryStore> {
+    pub fn record_day_reference(&self, day: u32) -> Vec<TelemetryStore> {
         let pre = self.precompute_day(day);
         let mut stores: Vec<TelemetryStore> = (0..UNIT_COUNT)
-            .map(|i| self.record_unit_day_scalar(&pre, i))
+            .map(|i| self.record_unit_day_reference(&pre, i))
             .collect();
         self.finish_day(&pre, &mut stores);
         stores
@@ -243,7 +231,7 @@ impl<'a> Recorder<'a> {
 
     /// Resolves everything the per-unit jobs share: the day's constants, the
     /// speech overlapping the duty window, and every unit's position, wear
-    /// state, room and walking flag at each master tick.
+    /// state, field-cache room and walking flag at each master tick.
     ///
     /// The per-tick lookups run behind monotone cursors (amortized O(1) per
     /// tick instead of a binary search), which is bit-identical to the plain
@@ -269,7 +257,7 @@ impl<'a> Recorder<'a> {
             .collect();
         let tick = SimDuration::from_secs(1);
         let ticks = ((duty_end - start).as_micros() / tick.as_micros()) as usize;
-        let station_room = self.world.room_in_mode(self.world.station, self.rf_mode);
+        let station_room = self.world.cached_room_at(self.world.station);
         let docked = UnitTick {
             pos: self.world.station,
             wear: WearState::Docked,
@@ -301,7 +289,7 @@ impl<'a> Recorder<'a> {
                 let room = if pos == prev_pos {
                     prev_room
                 } else {
-                    self.world.room_in_mode(pos, self.rf_mode)
+                    self.world.cached_room_at(pos)
                 };
                 prev_pos = pos;
                 prev_room = room;
@@ -330,7 +318,7 @@ impl<'a> Recorder<'a> {
     /// Records one unit's full day (duty + overnight) on the unit's own
     /// seeded stream with the run-length batched kernel. No randomness is
     /// shared with other units; bytes are bit-identical to
-    /// [`Recorder::record_unit_day_scalar`].
+    /// [`Recorder::record_unit_day_reference`].
     fn record_unit_day(&self, pre: &DayPrecomp, idx: usize) -> TelemetryStore {
         let unit = BadgeId(idx as u8);
         let mut rng = self
@@ -400,7 +388,6 @@ impl<'a> Recorder<'a> {
                     run_pos = ut.pos;
                     scanner::scan_plan_into(
                         self.world,
-                        self.rf_mode,
                         ut.room,
                         ut.pos,
                         &mut scan_plan,
@@ -408,7 +395,7 @@ impl<'a> Recorder<'a> {
                         &mut wall_scratch,
                         &mut mean_scratch,
                     );
-                    sync_mean = links::sync_link_mean(self.world, self.rf_mode, ut.pos);
+                    sync_mean = links::sync_link_mean(self.world, ut.pos);
                     noise_floor = MicModel::noise_floor(ut.room);
                 }
                 // A docked badge (EVA, exercise, forgotten on the charger)
@@ -441,7 +428,6 @@ impl<'a> Recorder<'a> {
                             let ft = t + SimDuration::from_micros(f * af);
                             store.push_audio(mic_sampler.frame_batched(
                                 self.world,
-                                self.rf_mode,
                                 &mut speakers,
                                 noise_floor,
                                 ut.pos,
@@ -466,7 +452,6 @@ impl<'a> Recorder<'a> {
                         prox_obs.clear();
                         links::proximity_sweep_into(
                             self.world,
-                            self.rf_mode,
                             unit,
                             ut.pos,
                             ut.room,
@@ -504,17 +489,8 @@ impl<'a> Recorder<'a> {
                                 continue;
                             };
                             if links::ir_exchange(
-                                self.world,
-                                self.rf_mode,
-                                ut.pos,
-                                fa,
-                                ut.wear,
-                                ut.room,
-                                other.pos,
-                                fb,
-                                other.wear,
-                                other.room,
-                                &mut rng,
+                                self.world, ut.pos, fa, ut.wear, ut.room, other.pos, fb,
+                                other.wear, other.room, &mut rng,
                             ) {
                                 let contact = crate::records::IrContact {
                                     t_local,
@@ -547,13 +523,26 @@ impl<'a> Recorder<'a> {
             }
         }
 
-        self.record_unit_overnight(pre, unit, clock, &env, &mut rng, &mut store);
+        self.record_unit_overnight(
+            pre,
+            unit,
+            &mut rng,
+            &mut store,
+            |p| self.world.cached_room_at(p),
+            |p, t, rng| {
+                let mean = links::sync_link_mean(self.world, p);
+                links::sync_attempt_with_mean(self.world, &self.clocks, unit, mean, t, rng)
+            },
+        );
         store
     }
 
-    /// Records one unit's full day with the pre-batching per-tick loop (the
-    /// bit-identity oracle for [`Recorder::record_unit_day`]).
-    fn record_unit_day_scalar(&self, pre: &DayPrecomp, idx: usize) -> TelemetryStore {
+    /// Records one unit's full day with the plain per-tick loop over exact
+    /// geometry (the bit-identity oracle for [`Recorder::record_unit_day`]).
+    /// It takes positions and wear states from the shared precomputation but
+    /// resolves every room itself with [`World::room_at`], so no field-cache
+    /// value reaches it.
+    fn record_unit_day_reference(&self, pre: &DayPrecomp, idx: usize) -> TelemetryStore {
         let unit = BadgeId(idx as u8);
         let mut rng = self
             .seed
@@ -578,21 +567,16 @@ impl<'a> Recorder<'a> {
             for k in 0..pre.ticks {
                 let tick_states = pre.tick_states(k);
                 let ut = tick_states[idx];
-                let (pos, wear, room) = (ut.pos, ut.wear, ut.room);
+                let (pos, wear) = (ut.pos, ut.wear);
+                let room = self.world.room_at(pos);
                 let elapsed = (t - pre.start).as_micros();
                 let t_local = clock.local_time(t);
                 let sampling = carrier.is_some() && !matches!(wear, WearState::Docked);
                 if sampling {
                     // BLE scan.
                     if elapsed % self.config.scan_period.as_micros() == 0 {
-                        store.push_scan(&scanner::scan_in(
-                            self.world,
-                            self.rf_mode,
-                            room,
-                            pos,
-                            t_local,
-                            &mut rng,
-                        ));
+                        store
+                            .push_scan(&scanner::scan_in(self.world, room, pos, t_local, &mut rng));
                     }
                     // IMU window.
                     if elapsed % self.config.imu_window.as_micros() == 0 {
@@ -611,10 +595,8 @@ impl<'a> Recorder<'a> {
                             let ft = t + SimDuration::from_micros(f * af);
                             store.push_audio(mic_sampler.frame(
                                 self.world,
-                                self.rf_mode,
                                 self.truth,
                                 pos,
-                                room,
                                 ft,
                                 clock.local_time(ft),
                                 &active,
@@ -624,21 +606,14 @@ impl<'a> Recorder<'a> {
                     }
                     // Proximity sweep.
                     if elapsed % self.config.proximity_period.as_micros() == 0 {
-                        let units: Vec<(BadgeId, Point2, RoomId)> = tick_states
+                        let units: Vec<(BadgeId, Point2)> = tick_states
                             .iter()
                             .enumerate()
-                            .map(|(j, s)| (BadgeId(j as u8), s.pos, s.room))
+                            .map(|(j, s)| (BadgeId(j as u8), s.pos))
                             .collect();
-                        for o in links::proximity_sweep(
-                            self.world,
-                            self.rf_mode,
-                            unit,
-                            pos,
-                            room,
-                            &units,
-                            t_local,
-                            &mut rng,
-                        ) {
+                        for o in
+                            links::proximity_sweep(self.world, unit, pos, &units, t_local, &mut rng)
+                        {
                             store.push_proximity(o);
                         }
                     }
@@ -660,17 +635,15 @@ impl<'a> Recorder<'a> {
                             ) else {
                                 continue;
                             };
-                            if links::ir_exchange(
-                                self.world,
-                                self.rf_mode,
+                            // Both facings exist only for worn badges, so
+                            // the exact visibility test and its one draw are
+                            // all that is left.
+                            if self.world.ir.detect(
+                                &self.world.plan,
                                 pos,
                                 fa,
-                                wear,
-                                room,
                                 other.pos,
                                 fb,
-                                other.wear,
-                                other.room,
                                 &mut rng,
                             ) {
                                 store.push_ir(crate::records::IrContact {
@@ -687,15 +660,9 @@ impl<'a> Recorder<'a> {
                 }
                 // Sync attempts.
                 if elapsed % self.config.sync_period.as_micros() == 0 {
-                    if let Some(s) = links::sync_attempt(
-                        self.world,
-                        self.rf_mode,
-                        &self.clocks,
-                        unit,
-                        pos,
-                        t,
-                        &mut rng,
-                    ) {
+                    if let Some(s) =
+                        links::sync_attempt(self.world, &self.clocks, unit, pos, t, &mut rng)
+                    {
                         store.push_sync(s);
                     }
                 }
@@ -703,33 +670,41 @@ impl<'a> Recorder<'a> {
             }
         }
 
-        self.record_unit_overnight(pre, unit, clock, &env, &mut rng, &mut store);
+        self.record_unit_overnight(
+            pre,
+            unit,
+            &mut rng,
+            &mut store,
+            |p| self.world.room_at(p),
+            |p, t, rng| links::sync_attempt(self.world, &self.clocks, unit, p, t, rng),
+        );
         store
     }
 
     /// The overnight tail shared by both kernels: docked sampling (sparse)
     /// plus dense sync at the charger. Continues on the unit-day's RNG
-    /// stream, so it must run after the daytime draws.
-    fn record_unit_overnight(
+    /// stream, so it must run after the daytime draws. `room_at` and `sync`
+    /// carry the calling kernel's geometry — field-cache lookups for the
+    /// batched kernel, exact tests for the reference.
+    fn record_unit_overnight<R: Rng>(
         &self,
         pre: &DayPrecomp,
         unit: BadgeId,
-        clock: &ares_simkit::clock::DriftingClock,
-        env: &EnvSampler,
-        rng: &mut impl Rng,
+        rng: &mut R,
         store: &mut TelemetryStore,
+        room_at: impl Fn(Point2) -> RoomId,
+        sync: impl Fn(Point2, SimTime, &mut R) -> Option<SyncSample>,
     ) {
+        let clock = self.clocks.clock(unit);
+        let env = EnvSampler::default();
         let mut tn = pre.duty_end;
         while tn < pre.night_end {
             let pos = self.world.badge_position(unit, tn, self.truth);
             let t_local = clock.local_time(tn);
             if (tn - pre.duty_end).as_micros() % self.config.env_period.as_micros() == 0 {
-                let room = self.world.room_in_mode(pos, self.rf_mode);
-                store.push_env(env.sample(self.world, room, tn, t_local, rng));
+                store.push_env(env.sample(self.world, room_at(pos), tn, t_local, rng));
             }
-            if let Some(s) =
-                links::sync_attempt(self.world, self.rf_mode, &self.clocks, unit, pos, tn, rng)
-            {
+            if let Some(s) = sync(pos, tn, rng) {
                 store.push_sync(s);
             }
             tn += self.config.sync_period;
@@ -770,7 +745,7 @@ mod tests {
             SamplingConfig::default(),
             SeedTree::new(99),
         );
-        let day = rec.record_day_stores(3);
+        let day = rec.record_day(3, 1);
         assert_eq!(day.len(), UNIT_COUNT);
         let b0 = day.iter().find(|s| s.badge == BadgeId(0)).unwrap();
         assert!(!b0.scans.is_empty(), "scans");
@@ -796,7 +771,7 @@ mod tests {
             SamplingConfig::default(),
             SeedTree::new(99),
         );
-        let day = rec.record_day_stores(2);
+        let day = rec.record_day(2, 1);
         // The first scan may come well after 07:00 (the badge sleeps while
         // docked), so recover the true sampling instant from the stamp: it
         // must sit on the scan-period grid, and the stamp must be that grid
@@ -826,14 +801,14 @@ mod tests {
             SamplingConfig::default(),
             SeedTree::new(99),
         );
-        let day = rec.record_day_stores(3);
+        let day = rec.record_day(3, 1);
         let total: usize = day.iter().map(|l| l.ir.len()).sum();
         assert!(total > 0, "some IR contacts on a normal day");
         assert_eq!(total % 2, 0, "contacts recorded pairwise");
     }
 
     #[test]
-    fn batched_kernel_matches_the_scalar_oracle() {
+    fn batched_kernel_matches_the_exact_reference() {
         let (world, roster, truth) = setup();
         let rec = Recorder::new(
             &world,
@@ -843,29 +818,8 @@ mod tests {
             SeedTree::new(99),
         );
         // Day 2 includes the A/B badge swap, so carrier hoisting is covered.
-        let batched = rec.record_day_stores(2);
-        assert_eq!(batched, rec.record_day_stores_scalar(2));
-        assert_eq!(batched, rec.record_day_stores_parallel(2, 2));
-    }
-
-    #[test]
-    fn exact_mode_matches_cached_mode() {
-        let (world, roster, truth) = setup();
-        let cached = Recorder::new(
-            &world,
-            &roster,
-            &truth,
-            SamplingConfig::default(),
-            SeedTree::new(99),
-        );
-        let exact = Recorder::new(
-            &world,
-            &roster,
-            &truth,
-            SamplingConfig::default(),
-            SeedTree::new(99),
-        )
-        .with_rf_mode(RfMode::Exact);
-        assert_eq!(cached.record_day_stores(2), exact.record_day_stores(2));
+        let batched = rec.record_day(2, 1);
+        assert_eq!(batched, rec.record_day_reference(2));
+        assert_eq!(batched, rec.record_day(2, 2));
     }
 }

@@ -6,66 +6,46 @@
 //! hot path skips the geometric test entirely. Beacons in other rooms are
 //! only ever heard through open doorways (the artifact the paper's 10-second
 //! dwell filter exists to suppress).
+//!
+//! [`scan_in`] evaluates a scan over exact geometry (the reference
+//! recorder's path); the production kernel builds a field-cache-backed
+//! [`scan_plan_into`] once per dwell run and replays it per tick with
+//! [`scan_from_plan`], bit-identically.
 
 use crate::records::BeaconScan;
-use crate::world::{RfMode, World};
+use crate::world::World;
 use ares_habitat::rf::Reception;
 use ares_habitat::rooms::RoomId;
 use ares_simkit::geometry::Point2;
 use ares_simkit::time::SimTime;
 use rand::Rng;
 
-/// Performs one BLE scan at the given badge position (cached geometry).
+/// Performs one BLE scan at the given badge position.
 pub fn scan(world: &World, badge_pos: Point2, t_local: SimTime, rng: &mut impl Rng) -> BeaconScan {
-    let badge_room = world.room_in_mode(badge_pos, RfMode::Cached);
-    scan_in(world, RfMode::Cached, badge_room, badge_pos, t_local, rng)
+    scan_in(world, world.room_at(badge_pos), badge_pos, t_local, rng)
 }
 
-/// Performs one BLE scan with the badge's room already resolved, under the
-/// given RF mode.
-///
-/// Both modes consider the same candidate beacons in the same order and draw
-/// the same randomness per candidate, so the emitted scans are bit-identical;
-/// `Cached` resolves wall counts from the field cache, `Exact` from the
-/// geometric oracle.
+/// Performs one BLE scan with the badge's room already resolved, over exact
+/// geometry: a wall scan per foreign-room candidate per call. This is the
+/// scalar reference the cache-backed [`scan_plan_into`] replay reproduces.
 pub fn scan_in(
     world: &World,
-    mode: RfMode,
     badge_room: RoomId,
     badge_pos: Point2,
     t_local: SimTime,
     rng: &mut impl Rng,
 ) -> BeaconScan {
     let mut hits = Vec::new();
-    let mut consider = |beacon: &ares_habitat::beacons::Beacon, walls: usize, rng: &mut _| {
+    for beacon in candidate_beacons(world, badge_room) {
+        let walls = if beacon.room == badge_room {
+            // Convex room: zero wall crossings by construction.
+            0
+        } else {
+            world.plan.walls_crossed(beacon.position, badge_pos)
+        };
         let d = beacon.position.distance(badge_pos);
         if let Reception::Received(rssi) = world.ble.transmit_known_walls(d, walls, rng) {
             hits.push((beacon.id, rssi));
-        }
-    };
-    match mode {
-        RfMode::Cached => {
-            let cache = world.field_cache();
-            for &bi in cache.candidates(badge_room) {
-                let beacon = &world.beacons.beacons()[bi as usize];
-                let walls = if beacon.room == badge_room {
-                    // Convex room: zero wall crossings by construction.
-                    0
-                } else {
-                    cache.walls_from(&world.plan, bi as usize, badge_pos)
-                };
-                consider(beacon, walls, rng);
-            }
-        }
-        RfMode::Exact => {
-            for beacon in candidate_beacons(world, badge_room) {
-                let walls = if beacon.room == badge_room {
-                    0
-                } else {
-                    world.plan.walls_crossed(beacon.position, badge_pos)
-                };
-                consider(beacon, walls, rng);
-            }
         }
     }
     BeaconScan { t_local, hits }
@@ -76,22 +56,23 @@ pub fn scan_in(
 pub type ScanPlanEntry = (ares_habitat::beacons::BeaconId, f64);
 
 /// Builds the per-run scan plan for a badge dwelling at `(badge_room,
-/// badge_pos)`: every candidate beacon [`scan_in`] would consider, in the
-/// same order, with its mean RSSI precomputed — minus the candidates whose
-/// mean is so deep below sensitivity that [`transmit_known_walls`] would
-/// return `Lost` *before drawing any randomness*. Replaying the plan with
-/// [`scan_from_plan`] therefore consumes the identical RNG stream and emits
-/// bit-identical scans, while the tick loop no longer touches geometry.
+/// badge_pos)` from the RF field cache: every candidate beacon [`scan_in`]
+/// would consider, in the same order (the cache's per-room candidate list),
+/// with foreign-room wall counts looked up through
+/// [`walls_from`](ares_habitat::fieldcache::RfFieldCache::walls_from) and the
+/// mean RSSI precomputed — minus the candidates whose mean is so deep below
+/// sensitivity that [`transmit_known_walls`] would return `Lost` *before
+/// drawing any randomness*. Replaying the plan with [`scan_from_plan`]
+/// therefore consumes the identical RNG stream and emits bit-identical scans,
+/// while the tick loop no longer touches geometry.
 ///
 /// Means are computed through the lane-batched
 /// [`mean_rssi_batch`](ares_habitat::rf::ChannelParams::mean_rssi_batch),
 /// which is bit-identical to the scalar per-candidate computation.
 ///
 /// [`transmit_known_walls`]: ares_habitat::rf::Channel::transmit_known_walls
-#[allow(clippy::too_many_arguments)]
 pub fn scan_plan_into(
     world: &World,
-    mode: RfMode,
     badge_room: RoomId,
     badge_pos: Point2,
     plan: &mut Vec<ScanPlanEntry>,
@@ -102,34 +83,17 @@ pub fn scan_plan_into(
     plan.clear();
     dist_scratch.clear();
     wall_scratch.clear();
-    let mut push_candidate = |beacon: &ares_habitat::beacons::Beacon, walls: usize| {
+    let cache = world.field_cache();
+    for &bi in cache.candidates(badge_room) {
+        let beacon = &world.beacons.beacons()[bi as usize];
+        let walls = if beacon.room == badge_room {
+            0
+        } else {
+            cache.walls_from(&world.plan, bi as usize, badge_pos)
+        };
         plan.push((beacon.id, 0.0));
         dist_scratch.push(beacon.position.distance(badge_pos));
         wall_scratch.push(walls as f64);
-    };
-    match mode {
-        RfMode::Cached => {
-            let cache = world.field_cache();
-            for &bi in cache.candidates(badge_room) {
-                let beacon = &world.beacons.beacons()[bi as usize];
-                let walls = if beacon.room == badge_room {
-                    0
-                } else {
-                    cache.walls_from(&world.plan, bi as usize, badge_pos)
-                };
-                push_candidate(beacon, walls);
-            }
-        }
-        RfMode::Exact => {
-            for beacon in candidate_beacons(world, badge_room) {
-                let walls = if beacon.room == badge_room {
-                    0
-                } else {
-                    world.plan.walls_crossed(beacon.position, badge_pos)
-                };
-                push_candidate(beacon, walls);
-            }
-        }
     }
     mean_scratch.resize(plan.len(), 0.0);
     world
@@ -185,6 +149,7 @@ fn candidate_beacons(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::world::cell_edge_lattice;
     use ares_simkit::rng::SeedTree;
 
     #[test]
@@ -233,52 +198,32 @@ mod tests {
 
     #[test]
     fn scan_plan_replay_is_bit_identical_near_cell_boundaries() {
-        // The plan is built once per dwell run, so it must reproduce
-        // `scan_in` exactly even when the badge sits right on a field-cache
-        // cell edge — where `walls_from` answers flip between neighbours.
+        // The plan is built once per dwell run from the field cache, so it
+        // must reproduce the exact-geometry `scan_in` even when the badge
+        // sits right on a cache cell edge — where `walls_from` and `room_of`
+        // answers flip between neighbours.
         let world = World::icares();
-        let cell = ares_habitat::fieldcache::CELL_M;
-        let offsets = [
-            -cell,
-            -cell + 1e-9,
-            -1e-9,
-            0.0,
-            1e-9,
-            cell / 2.0,
-            cell - 1e-9,
-            cell,
-        ];
         let mut plan = Vec::new();
         let (mut dist, mut walls, mut means) = (Vec::new(), Vec::new(), Vec::new());
-        let mut case = 0u64;
-        for room in RoomId::ALL {
-            let center = world.plan.room_center(room);
-            // Snap to the cell grid so the offsets actually straddle edges.
-            let snapped = Point2::new(
-                (center.x / cell).round() * cell,
-                (center.y / cell).round() * cell,
+        for (case, pos) in cell_edge_lattice(&world).into_iter().enumerate() {
+            scan_plan_into(
+                &world,
+                world.cached_room_at(pos),
+                pos,
+                &mut plan,
+                &mut dist,
+                &mut walls,
+                &mut means,
             );
-            for dx in offsets {
-                for dy in offsets {
-                    let pos = Point2::new(snapped.x + dx, snapped.y + dy);
-                    for mode in [RfMode::Cached, RfMode::Exact] {
-                        let badge_room = world.room_in_mode(pos, mode);
-                        scan_plan_into(
-                            &world, mode, badge_room, pos, &mut plan, &mut dist, &mut walls,
-                            &mut means,
-                        );
-                        let seed = SeedTree::new(1234).stream_indexed("cell-edge", case);
-                        case += 1;
-                        let t = SimTime::from_secs(case as i64);
-                        let via_plan = BeaconScan {
-                            t_local: t,
-                            hits: scan_from_plan(&world, &plan, &mut seed.clone()).collect(),
-                        };
-                        let direct = scan_in(&world, mode, badge_room, pos, t, &mut seed.clone());
-                        assert_eq!(via_plan, direct, "{mode:?} at ({}, {})", pos.x, pos.y);
-                    }
-                }
-            }
+            let seed = SeedTree::new(1234).stream_indexed("cell-edge", case as u64);
+            let t = SimTime::from_secs(case as i64);
+            let via_plan: Vec<_> = scan_from_plan(&world, &plan, &mut seed.clone()).collect();
+            let direct = scan_in(&world, world.room_at(pos), pos, t, &mut seed.clone());
+            assert_eq!(via_plan, direct.hits, "at ({}, {})", pos.x, pos.y);
+            let bits = |hits: &[(ares_habitat::beacons::BeaconId, f64)]| -> Vec<u64> {
+                hits.iter().map(|(_, rssi)| rssi.to_bits()).collect()
+            };
+            assert_eq!(bits(&via_plan), bits(&direct.hits));
         }
     }
 

@@ -110,7 +110,7 @@ impl ImuSampler {
 
 /// An environmental sampler with the measurement-noise distributions hoisted
 /// out of the per-sample path. The badge's room is resolved by the caller
-/// (mode-aware), not re-derived per sample.
+/// (field cache or exact polygon test), not re-derived per sample.
 #[derive(Debug, Clone)]
 pub struct EnvSampler {
     temp: Normal,

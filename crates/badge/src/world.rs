@@ -1,4 +1,12 @@
 //! The deployment "world": habitat, channels and the badge↔wearer mapping.
+//!
+//! A world answers geometry two ways, and each recording kernel uses one:
+//! exact polygon and wall tests ([`World::room_at`], `plan.walls_crossed`)
+//! for the scalar reference recorder, and the lazily built, interned
+//! [`RfFieldCache`] (`World::cached_room_at`, [`World::field_cache`]) for
+//! the batched production kernel. The cache only tabulates cells it can
+//! prove constant and falls back to the exact test elsewhere, so both answer
+//! bit-identically.
 
 use crate::records::BadgeId;
 use ares_crew::behavior::CHARGING_STATION;
@@ -14,22 +22,6 @@ use ares_habitat::rooms::RoomId;
 use ares_simkit::geometry::Point2;
 use ares_simkit::time::SimTime;
 use std::sync::{Arc, OnceLock};
-
-/// Which geometry path the recording front end takes.
-///
-/// Both modes produce **bit-identical** telemetry for identical seeds: the
-/// cache only tabulates cells it can prove constant (falling back to the
-/// exact oracle elsewhere), and its fast-reject culls only skip packets the
-/// exact path would also reject before drawing any randomness. `Exact` exists
-/// as the honest baseline for benches and equivalence tests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RfMode {
-    /// Precomputed [`RfFieldCache`] lookups with exact fallback (default).
-    #[default]
-    Cached,
-    /// Full geometric path: wall scans and polygon tests per packet.
-    Exact,
-}
 
 /// Everything the badge firmware simulation samples against.
 #[derive(Debug)]
@@ -122,17 +114,14 @@ impl World {
         self.beacons.len()
     }
 
-    /// The room a point lies in under the given RF mode — cache lookup or
-    /// exact polygon test, bit-identical by the cache's purity contract.
+    /// [`room_at`](World::room_at) answered from the field cache — the
+    /// batched recording kernel's room lookup, bit-identical to the polygon
+    /// test by the cache's purity contract.
     #[must_use]
-    pub fn room_in_mode(&self, p: Point2, mode: RfMode) -> RoomId {
-        match mode {
-            RfMode::Cached => self
-                .field_cache()
-                .room_of(&self.plan, p)
-                .unwrap_or(RoomId::Main),
-            RfMode::Exact => self.room_at(p),
-        }
+    pub(crate) fn cached_room_at(&self, p: Point2) -> RoomId {
+        self.field_cache()
+            .room_of(&self.plan, p)
+            .unwrap_or(RoomId::Main)
     }
 
     /// Which astronaut carries the given badge unit on `day`, if anyone.
@@ -196,6 +185,39 @@ impl Default for World {
     fn default() -> Self {
         World::icares()
     }
+}
+
+/// The cell-edge lattice the cache-vs-exact kernel cross tests share: every
+/// room centre snapped to the [`CELL_M`](ares_habitat::fieldcache::CELL_M)
+/// grid, displaced by offsets straddling the cell edges — where cache
+/// answers (`walls_from`, `room_of`) flip between neighbouring cells.
+#[cfg(test)]
+pub(crate) fn cell_edge_lattice(world: &World) -> Vec<Point2> {
+    let cell = ares_habitat::fieldcache::CELL_M;
+    let offsets = [
+        -cell,
+        -cell + 1e-9,
+        -1e-9,
+        0.0,
+        1e-9,
+        cell / 2.0,
+        cell - 1e-9,
+        cell,
+    ];
+    let mut points = Vec::new();
+    for room in RoomId::ALL {
+        let center = world.plan.room_center(room);
+        let snapped = Point2::new(
+            (center.x / cell).round() * cell,
+            (center.y / cell).round() * cell,
+        );
+        for dx in offsets {
+            for dy in offsets {
+                points.push(Point2::new(snapped.x + dx, snapped.y + dy));
+            }
+        }
+    }
+    points
 }
 
 #[cfg(test)]

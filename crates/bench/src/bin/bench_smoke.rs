@@ -1,20 +1,20 @@
 //! Bench smoke: one fast, scriptable measurement of the simulation front end
 //! and the staged engine.
 //!
-//! Records mission day 3 three ways — sequentially through the RF field
-//! cache, fanned out per unit across threads, and through the exact
-//! geometric baseline — checks all three store sets are bit-identical, then
-//! runs the columnar store through the engine sequentially and with every
-//! available core, and checks the two analyses agree bit for bit.
-//! Per-stage timings, the recording wall times and cache speedup, the
-//! columnar store's memory footprint and the verified determinism flags go
-//! to `BENCH_pipeline.json` (or the path given as the first argument), and
-//! one compact line per run is appended to `artifacts/bench_history.jsonl`
-//! so regressions are visible across runs, not just against the last
-//! committed artifact. `scripts/tier1.sh` runs this as its final step so
-//! every green build leaves a timing artifact behind — and then greps the
-//! artifact to fail the build on a lost determinism bit, a non-finite
-//! metric, or a kernel throughput regression.
+//! Records mission day 3 three ways — sequentially through the batched
+//! field-cache kernel, fanned out per unit across threads, and through the
+//! reference recorder (the scalar tick loop over exact geometry) — checks
+//! all three store sets are bit-identical, then runs the columnar store
+//! through the engine sequentially and with every available core, and checks
+//! the two analyses agree bit for bit. Per-stage timings, the recording wall
+//! times and speedup over the reference, the columnar store's memory
+//! footprint and the verified determinism flags go to `BENCH_pipeline.json`
+//! (or the path given as the first argument), and one compact line per run
+//! is appended to `artifacts/bench_history.jsonl` so regressions are visible
+//! across runs, not just against the last committed artifact.
+//! `scripts/tier1.sh` runs this so every green build leaves a timing
+//! artifact behind, and `bench_guard` then fails the build on a lost
+//! determinism bit, a non-finite metric, or a kernel throughput regression.
 //!
 //! On a single-core host neither the parallel engine run nor the parallel
 //! recording fan-out can demonstrate a wall-clock speedup, but both are
@@ -25,9 +25,9 @@
 //! either way — the numbers always come from two timed runs whose outputs
 //! were checked bit-identical.
 //!
-//! Recording-plane metrics are additionally spliced into the artifact as a
-//! top-level `"record"` block (via the same brace-aware member splice the
-//! soak bins use), where `bench_guard` enforces the `days_per_s` floor.
+//! Recording-plane metrics live only in the artifact's top-level `"record"`
+//! block (spliced via the same brace-aware member splice the soak bins use),
+//! where `bench_guard` enforces its determinism bit and `days_per_s` floor.
 //!
 //! Throughput is reported on two planes: `mission_days_per_s` is the
 //! *analysis* rate (one recorded day through the seven-stage engine,
@@ -68,7 +68,7 @@ fn main() {
         .unwrap_or_else(|| "BENCH_pipeline.json".to_string());
 
     let runner = MissionRunner::icares();
-    let workers = std::thread::available_parallelism().map_or(1, usize::from);
+    let workers = ares_bench::artifact::host_cores();
 
     // --- Recording front end -----------------------------------------------
     // Warm-up run: builds the RF field cache and faults in the truth tables
@@ -111,20 +111,20 @@ fn main() {
     };
     let record_speedup_measured = true;
 
-    eprintln!("recording day {DAY}: sequential, exact geometry…");
+    eprintln!("recording day {DAY}: reference (scalar, exact geometry)…");
     let t0 = Instant::now();
-    let exact_stores = runner.record_day_stores_exact(DAY);
-    let record_exact_wall_s = t0.elapsed().as_secs_f64();
-    let exact_identical = exact_stores == stores;
+    let reference_stores = runner.record_day_reference(DAY);
+    let record_reference_wall_s = t0.elapsed().as_secs_f64();
+    let reference_identical = reference_stores == stores;
     assert!(
-        exact_identical,
-        "field cache drifted: exact-geometry recording differs from cached"
+        reference_identical,
+        "batched kernel drifted: recording differs from the exact reference"
     );
-    drop(exact_stores);
+    drop(reference_stores);
 
-    let record_deterministic = parallel_identical && exact_identical;
-    let record_speedup_cache = if record_wall_s > 0.0 {
-        record_exact_wall_s / record_wall_s
+    let record_deterministic = parallel_identical && reference_identical;
+    let record_speedup_vs_reference = if record_wall_s > 0.0 {
+        record_reference_wall_s / record_wall_s
     } else {
         0.0
     };
@@ -187,25 +187,6 @@ fn main() {
     let mut json = String::from("{\n");
     let _ = writeln!(json, "  \"day\": {DAY},");
     let _ = writeln!(json, "  \"workers\": {workers},");
-    let _ = writeln!(json, "  \"record_wall_s\": {record_wall_s:.6},");
-    let _ = writeln!(json, "  \"record_workers\": {record_workers},");
-    let _ = writeln!(
-        json,
-        "  \"record_parallel_wall_s\": {record_parallel_wall_s:.6},"
-    );
-    let _ = writeln!(json, "  \"record_exact_wall_s\": {record_exact_wall_s:.6},");
-    let _ = writeln!(
-        json,
-        "  \"record_speedup_cache\": {record_speedup_cache:.4},"
-    );
-    let _ = writeln!(json, "  \"record_speedup\": {record_speedup:.4},");
-    let _ = writeln!(
-        json,
-        "  \"record_speedup_measured\": {record_speedup_measured},"
-    );
-    let _ = writeln!(json, "  \"record_interleaved\": {record_interleaved},");
-    let _ = writeln!(json, "  \"record_days_per_s\": {record_days_per_s:.6},");
-    let _ = writeln!(json, "  \"record_deterministic\": {record_deterministic},");
     let _ = writeln!(json, "  \"mission_days_per_s\": {mission_days_per_s:.6},");
     let _ = writeln!(json, "  \"e2e_days_per_s\": {e2e_days_per_s:.6},");
     let _ = writeln!(json, "  \"sequential_wall_s\": {seq_wall_s:.6},");
@@ -235,7 +216,7 @@ fn main() {
     json.push_str("  }\n}\n");
     std::fs::write(&out_path, &json).expect("write bench artifact");
 
-    // The recording plane also gets its own top-level block, spliced through
+    // The recording plane gets its own top-level block, spliced through
     // the shared brace-aware helper like every soak bin's member — so later
     // writers (ingest, fleet, scenario) and re-runs of this bin compose
     // without clobbering each other, and `bench_guard` reads one place.
@@ -243,14 +224,18 @@ fn main() {
         "record",
         &[
             ("day", DAY.to_string()),
+            ("host_cores", workers.to_string()),
             ("wall_s", format!("{record_wall_s:.6}")),
             ("parallel_wall_s", format!("{record_parallel_wall_s:.6}")),
-            ("exact_wall_s", format!("{record_exact_wall_s:.6}")),
+            ("reference_wall_s", format!("{record_reference_wall_s:.6}")),
             ("workers", record_workers.to_string()),
             ("interleaved", record_interleaved.to_string()),
             ("speedup", format!("{record_speedup:.4}")),
             ("speedup_measured", record_speedup_measured.to_string()),
-            ("speedup_cache", format!("{record_speedup_cache:.4}")),
+            (
+                "speedup_vs_reference",
+                format!("{record_speedup_vs_reference:.4}"),
+            ),
             ("days_per_s", format!("{record_days_per_s:.6}")),
             ("deterministic", record_deterministic.to_string()),
         ],
@@ -306,10 +291,10 @@ fn main() {
 
     println!("{}", engine_section(&metrics));
     println!(
-        "record day {DAY}: cached {record_wall_s:.2} s ({record_days_per_s:.2} day(s)/s), \
+        "record day {DAY}: batched {record_wall_s:.2} s ({record_days_per_s:.2} day(s)/s), \
          parallel {record_parallel_wall_s:.2} s @{record_workers} worker(s) \
-         → speedup {record_speedup:.2}×{}, exact {record_exact_wall_s:.2} s \
-         → cache speedup {record_speedup_cache:.2}×",
+         → speedup {record_speedup:.2}×{}, reference {record_reference_wall_s:.2} s \
+         → {record_speedup_vs_reference:.2}× over the reference",
         if record_interleaved {
             " (interleaved on one core)"
         } else {

@@ -198,6 +198,7 @@ fn main() {
             ("crews", scorecard.config.crews.to_string()),
             ("first_day", scorecard.config.first_day.to_string()),
             ("last_day", scorecard.config.last_day.to_string()),
+            ("host_cores", ares_bench::artifact::host_cores().to_string()),
             ("shards", scorecard.config.shards.to_string()),
             ("workers", scorecard.config.workers.to_string()),
             ("badge_days", scorecard.badge_days.to_string()),

@@ -162,6 +162,7 @@ fn main() {
         "ingest",
         &[
             ("day", DAY.to_string()),
+            ("host_cores", ares_bench::artifact::host_cores().to_string()),
             ("shards", cfg.shards.to_string()),
             ("tenants", "2".to_string()),
             ("records_submitted", submitted.to_string()),

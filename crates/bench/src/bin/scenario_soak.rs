@@ -6,11 +6,11 @@
 //! deployment through [`MissionRunner`] and proves the engine's invariants
 //! hold on the *generated* geometry, not just the canonical Lunares world:
 //!
-//! * recording is bit-identical sequential vs. parallel vs. exact-geometry
-//!   vs. the retained pre-batching scalar tick loop (the [`RfFieldCache`]
-//!   purity contract and the batched-kernel equivalence contract —
-//!   `.to_bits()` RSSI equality, since the columnar stores compare byte
-//!   for byte);
+//! * recording is bit-identical sequential vs. parallel vs. the reference
+//!   recorder — the scalar tick loop over exact geometry — which pins both
+//!   the [`RfFieldCache`] purity contract and the batched-kernel
+//!   equivalence contract at once (`.to_bits()` RSSI equality, since the
+//!   columnar stores compare byte for byte);
 //! * batch analysis is bit-identical to the parallel mission engine;
 //! * the streaming analyzer, checkpointed mid-feed and restored into a
 //!   fresh instance, replays to byte-identical events and checkpoints.
@@ -165,13 +165,12 @@ fn main() {
         };
         let runner = MissionRunner::new(config);
 
-        // Recording bit-identity: the batched kernel vs. its retained scalar
-        // oracle, sequential vs. parallel, and cached vs. exact geometry
-        // (the field-cache purity contract on this plan's geometry).
+        // Recording bit-identity: the batched field-cache kernel vs. the
+        // scalar exact-geometry reference (the field-cache purity contract
+        // on this plan's geometry), and sequential vs. parallel.
         let stores = runner.record_day_stores(day);
-        let record_ok = runner.record_day_stores_scalar(day) == stores
-            && runner.record_day_stores_parallel(day, 4) == stores
-            && runner.record_day_stores_exact(day) == stores;
+        let record_ok = runner.record_day_reference(day) == stores
+            && runner.record_day_stores_parallel(day, 4) == stores;
 
         // Analysis bit-identity: batch fold vs. the parallel mission engine.
         let parallel = MissionEngine::with_workers(runner.pipeline().context_arc(), 4)
@@ -223,6 +222,7 @@ fn main() {
             ("cache_purity_min", format!("{cache_purity_min:.6}")),
             ("deterministic", all_deterministic.to_string()),
             ("wall_s", format!("{wall_s:.6}")),
+            ("host_cores", ares_bench::artifact::host_cores().to_string()),
         ],
     );
     ares_bench::artifact::splice_into_file(&out_path, "scenario_gen", &member);

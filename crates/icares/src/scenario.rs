@@ -15,7 +15,7 @@
 use ares_badge::recorder::Recorder;
 use ares_badge::records::SamplingConfig;
 use ares_badge::telemetry::TelemetryStore;
-use ares_badge::world::{RfMode, World};
+use ares_badge::world::World;
 use ares_crew::behavior::{BehaviorConfig, BehaviorSim};
 use ares_crew::roster::Roster;
 use ares_crew::schedule::{Schedule, MISSION_DAYS};
@@ -254,10 +254,10 @@ impl MissionRunner {
         )
     }
 
-    /// Records a single day in columnar form — the zero-copy recording path.
+    /// Records a single day in columnar form on the caller's thread.
     #[must_use]
     pub fn record_day_stores(&self, day: u32) -> Vec<TelemetryStore> {
-        self.recorder().record_day_stores(day)
+        self.recorder().record_day(day, 1)
     }
 
     /// Records a single day with the per-unit jobs fanned out on up to
@@ -267,29 +267,18 @@ impl MissionRunner {
     /// [`record_day_stores`]: MissionRunner::record_day_stores
     #[must_use]
     pub fn record_day_stores_parallel(&self, day: u32, workers: usize) -> Vec<TelemetryStore> {
-        self.recorder().record_day_stores_parallel(day, workers)
+        self.recorder().record_day(day, workers)
     }
 
-    /// Records a single day through the exact geometric path (no field
-    /// cache) — the slow baseline benches compare against; bit-identical to
+    /// Records a single day through the scalar tick loop over exact geometry
+    /// — the bit-identity oracle the production kernel is checked against
+    /// ([`Recorder::record_day_reference`]); bit-identical to
     /// [`record_day_stores`].
     ///
     /// [`record_day_stores`]: MissionRunner::record_day_stores
     #[must_use]
-    pub fn record_day_stores_exact(&self, day: u32) -> Vec<TelemetryStore> {
-        self.recorder()
-            .with_rf_mode(RfMode::Exact)
-            .record_day_stores(day)
-    }
-
-    /// Records a single day through the retained pre-batching scalar tick
-    /// loop — the bit-identity oracle the run-length batched kernel is
-    /// checked against; bit-identical to [`record_day_stores`].
-    ///
-    /// [`record_day_stores`]: MissionRunner::record_day_stores
-    #[must_use]
-    pub fn record_day_stores_scalar(&self, day: u32) -> Vec<TelemetryStore> {
-        self.recorder().record_day_stores_scalar(day)
+    pub fn record_day_reference(&self, day: u32) -> Vec<TelemetryStore> {
+        self.recorder().record_day_reference(day)
     }
 
     /// Records and analyzes a single day; returns both the recorded stores

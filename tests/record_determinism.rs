@@ -1,11 +1,12 @@
 //! The recording front end's determinism guarantees, end to end.
 //!
 //! [`ares_badge::recorder::Recorder`] fans per-unit recording jobs across a
-//! scoped worker pool, each unit drawing from its own seeded stream, and the
-//! RF field cache replaces per-packet geometry with table lookups — so a
-//! recorded day must be **bit-identical** (`PartialEq` over every sample of
-//! every stream) across worker counts *and* across the cached/exact geometry
-//! paths, on the full ICAres scenario.
+//! scoped worker pool, each unit drawing from its own seeded stream, and its
+//! run-length batched kernel replaces per-packet geometry with RF field-cache
+//! lookups hoisted per dwell run — so a recorded day must be
+//! **bit-identical** (`PartialEq` over every sample of every stream) across
+//! worker counts *and* to the reference recorder (the scalar tick loop over
+//! exact geometry), on the full ICAres scenario.
 
 use ares_icares::MissionRunner;
 
@@ -32,9 +33,9 @@ fn parallel_recording_is_bit_identical_to_sequential() {
 fn exact_geometry_recording_matches_cached() {
     let runner = MissionRunner::icares();
     let cached = runner.record_day_stores(DAY);
-    let exact = runner.record_day_stores_exact(DAY);
+    let exact = runner.record_day_reference(DAY);
     assert_eq!(
         exact, cached,
-        "field cache drifted from the exact geometric path"
+        "batched field-cache kernel drifted from the exact scalar reference"
     );
 }

@@ -43,8 +43,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     /// A generated scenario records and analyzes without panics, and the
-    /// recording front end is bit-identical sequential vs. parallel vs.
-    /// exact geometry — `.to_bits()` RSSI equality, since the columnar
+    /// recording front end is bit-identical sequential vs. parallel vs. the
+    /// reference recorder (scalar tick loop, exact geometry) — `.to_bits()`
+    /// RSSI equality, since the columnar
     /// stores compare byte for byte — while batch analysis matches the
     /// parallel engine.
     #[test]
@@ -62,8 +63,8 @@ proptest! {
             "seed {seed}: parallel recording diverged"
         );
         prop_assert!(
-            runner.record_day_stores_exact(day) == stores,
-            "seed {seed}: field cache diverged from the exact oracle"
+            runner.record_day_reference(day) == stores,
+            "seed {seed}: batched kernel diverged from the exact reference"
         );
         let parallel = MissionEngine::with_workers(runner.pipeline().context_arc(), 4)
             .analyze_days_stores(&[(day, stores)]);
