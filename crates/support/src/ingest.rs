@@ -6,10 +6,12 @@
 //! runs one OS thread per *shard*; every tenant (one habitat/mission) is
 //! pinned to exactly one shard so cross-badge analysis (meetings, company
 //! time) always sees the whole crew. Producers hand records to
-//! [`IngestServer::submit`], which routes them onto a bounded SPSC queue with
-//! an explicit [`BackpressurePolicy`]: block the producer, or shed the record
-//! and count the loss per [`RecordKind`] — drops are typed, surfaced on the
-//! support bus ([`Topic::Ingest`]) and in the mission report, never silent.
+//! [`IngestServer::submit`], which routes them onto the shard's bounded queue
+//! with an explicit [`BackpressurePolicy`]: block the producer, or shed the
+//! record and count the loss per [`RecordKind`] — drops are typed, surfaced
+//! on the support bus ([`Topic::Ingest`]) and in the mission report, never
+//! silent. The shard drains its queue in batches (everything queued, under
+//! one lock and one producer wake-up) and handles each batch in FIFO order.
 //!
 //! ## Recovery protocol
 //!
@@ -57,8 +59,8 @@ use ares_sociometrics::pipeline::MissionAnalysis;
 use ares_sociometrics::report::IngestShardRow;
 use ares_sociometrics::streaming::{AnalyzerCheckpoint, CheckpointCadence, StreamingAnalyzer};
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
+use std::collections::{BTreeMap, VecDeque};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -185,7 +187,11 @@ pub struct IngestConfig {
     pub shards: usize,
     /// Simulated analysis replicas per shard (primary + backups).
     pub replicas_per_shard: u8,
-    /// Bounded capacity of each shard's telemetry queue.
+    /// Bounded capacity of each shard's telemetry queue, in messages
+    /// (records, day ends and control messages alike). The shard drains the
+    /// whole queue into its current batch at once, so up to twice this many
+    /// messages can be in flight per shard: one batch being processed plus a
+    /// refilled queue.
     pub queue_capacity: usize,
     /// What happens to producers when a queue is full.
     pub policy: BackpressurePolicy,
@@ -482,15 +488,13 @@ impl DataPlane {
     }
 }
 
-/// Shared per-shard observability counters (producer + consumer side). Depth
-/// counts only data messages (records and day ends, not control traffic) and
-/// is signed: the producer increments *after* a successful send, so the
-/// consumer's decrement can transiently run first and push the counter below
-/// zero — reads clamp at zero instead of wrapping.
+/// Per-shard observability counters, written only by producers: typed drop
+/// counts and the queue's high-water mark. The shard thread only reads them
+/// into its report. Both are statistics that publish no other data, hence
+/// `Relaxed`.
 #[derive(Debug)]
 struct ShardStats {
     dropped: [AtomicU64; 7],
-    queue_depth: AtomicI64,
     queue_peak: AtomicUsize,
 }
 
@@ -498,25 +502,8 @@ impl ShardStats {
     fn new() -> Self {
         ShardStats {
             dropped: std::array::from_fn(|_| AtomicU64::new(0)),
-            queue_depth: AtomicI64::new(0),
             queue_peak: AtomicUsize::new(0),
         }
-    }
-
-    fn enqueued(&self) {
-        let depth = self.queue_depth.fetch_add(1, Ordering::Relaxed) + 1;
-        if depth > 0 {
-            self.queue_peak
-                .fetch_max(usize::try_from(depth).expect("positive"), Ordering::Relaxed);
-        }
-    }
-
-    fn dequeued(&self) {
-        self.queue_depth.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    fn depth(&self) -> usize {
-        usize::try_from(self.queue_depth.load(Ordering::Relaxed).max(0)).expect("clamped")
     }
 
     fn dropped_total(&self) -> u64 {
@@ -723,12 +710,12 @@ impl IngestServer {
                     self.txs[shard].send(msg).is_ok(),
                     "shard {shard} thread gone"
                 );
-                self.stats[shard].enqueued();
+                self.enqueued(shard);
                 true
             }
             BackpressurePolicy::Shed => match self.txs[shard].try_send(msg) {
                 Ok(()) => {
-                    self.stats[shard].enqueued();
+                    self.enqueued(shard);
                     true
                 }
                 Err(TrySendError::Full(_)) => {
@@ -768,7 +755,7 @@ impl IngestServer {
                 .is_ok(),
             "shard {shard} thread gone"
         );
-        self.stats[shard].enqueued();
+        self.enqueued(shard);
     }
 
     /// Parks a shard until the returned guard is dropped. Test hook: with a
@@ -793,10 +780,23 @@ impl IngestServer {
         PauseGuard { _tx: tx }
     }
 
-    /// Current depth of a shard's bounded queue (enqueued, not yet consumed).
+    /// Folds a shard queue's length after a successful send into its
+    /// high-water mark. The channel reads its length under its own lock, so
+    /// the peak never exceeds the configured capacity.
+    fn enqueued(&self, shard: usize) {
+        self.stats[shard]
+            .queue_peak
+            .fetch_max(self.txs[shard].len(), Ordering::Relaxed);
+    }
+
+    /// Current depth of a shard's bounded queue: messages enqueued and not
+    /// yet drained by the shard, read from the channel itself (so it never
+    /// exceeds [`IngestConfig::queue_capacity`]). Control messages count
+    /// while queued. Records the shard has already drained into its current
+    /// batch are no longer counted.
     #[must_use]
     pub fn queue_depth(&self, shard: usize) -> usize {
-        self.stats[shard].depth()
+        self.txs[shard].len()
     }
 
     /// Records shed so far on a shard, per family.
@@ -908,34 +908,39 @@ impl ShardWorker {
         }
     }
 
+    /// Drains the queue in batches — everything queued at once, under one
+    /// lock and at most one producer wake-up — and handles each batch in
+    /// FIFO order, so per-message processing is exactly that of a
+    /// one-at-a-time receive.
     fn run(mut self) -> ShardReport {
-        loop {
-            let Ok(msg) = self.rx.recv() else { break };
-            match msg {
-                ShardMsg::Record {
-                    tenant,
-                    badge,
-                    record,
-                } => {
-                    self.stats.dequeued();
-                    self.advance(record.t_local());
-                    self.append_and_apply(WalEntry::Record {
+        let mut batch = VecDeque::new();
+        'serve: while self.rx.recv_batch(&mut batch).is_ok() {
+            while let Some(msg) = batch.pop_front() {
+                match msg {
+                    ShardMsg::Record {
                         tenant,
                         badge,
                         record,
-                    });
+                    } => {
+                        self.advance(record.t_local());
+                        self.append_and_apply(WalEntry::Record {
+                            tenant,
+                            badge,
+                            record,
+                        });
+                    }
+                    ShardMsg::DayEnd { tenant, day, at } => {
+                        self.advance(at);
+                        self.append_and_apply(WalEntry::DayEnd { tenant, day });
+                    }
+                    ShardMsg::Pause { ack, parked } => {
+                        let _ = ack.send(());
+                        // Blocks until the guard (the sender) is dropped;
+                        // the rest of the batch waits in `batch`.
+                        let _ = parked.recv();
+                    }
+                    ShardMsg::Shutdown => break 'serve,
                 }
-                ShardMsg::DayEnd { tenant, day, at } => {
-                    self.stats.dequeued();
-                    self.advance(at);
-                    self.append_and_apply(WalEntry::DayEnd { tenant, day });
-                }
-                ShardMsg::Pause { ack, parked } => {
-                    let _ = ack.send(());
-                    // Blocks until the guard (the sender) is dropped.
-                    let _ = parked.recv();
-                }
-                ShardMsg::Shutdown => break,
             }
         }
         self.into_report()
@@ -1470,8 +1475,8 @@ mod tests {
             std::thread::spawn(move || {
                 // Far more than capacity 2: the producer must block on the
                 // parked shard, then drain completely once it resumes.
-                for i in 0..50u32 {
-                    assert!(server.submit(TenantId(0), BadgeId(0), sync_at(1, 9, 0, i)));
+                for i in 0..500u32 {
+                    assert!(server.submit(TenantId(0), BadgeId(0), sync_at(1, 9, i / 60, i % 60)));
                 }
             })
         };
@@ -1479,10 +1484,64 @@ mod tests {
         producer.join().expect("producer");
         let server = std::sync::Arc::into_inner(server).expect("sole owner");
         let report = server.finish();
-        assert_eq!(report.records_applied(), 50, "nothing lost under Block");
+        assert_eq!(report.records_applied(), 500, "nothing lost under Block");
         assert_eq!(report.records_dropped(), 0);
         let tenant = report.tenant(TenantId(0)).expect("tenant served");
-        assert_eq!(tenant.records, 50);
+        assert_eq!(tenant.records, 500);
+        // The peak is the channel's own length, read under its lock: it can
+        // never exceed the capacity, however the producer and the batch
+        // drain interleave.
+        let peak = report.shards[0].queue_peak;
+        assert!((1..=2).contains(&peak), "queue peak {peak} vs capacity 2");
+    }
+
+    #[test]
+    fn records_drained_behind_a_pause_apply_in_order_after_it_lifts() {
+        let ctx = MissionContext::icares();
+        let feed = synthetic_feed(1, 8, 60);
+        let (behind, rest) = feed.split_at(40);
+        let days = [(1, feed.clone())];
+        let day_end = |d| SimTime::from_day_hms(d + 1, 0, 0, 0);
+        let base = drive_days(&days, day_end, &FaultPlan::new(1));
+
+        let server = IngestServer::spawn(
+            config(1, 64, BackpressurePolicy::Block),
+            &ctx,
+            Bus::new(),
+            &FaultPlan::new(1),
+        );
+        let first = server.pause_shard(0);
+        std::thread::scope(|s| {
+            // A second pause queues behind the first while the shard is
+            // parked; its `pause_shard` returns only once the shard reaches
+            // it.
+            let second = s.spawn(|| server.pause_shard(0));
+            while server.queue_depth(0) == 0 {
+                std::thread::yield_now();
+            }
+            for (badge, record) in behind {
+                assert!(server.submit(TenantId(0), *badge, record.clone()));
+            }
+            assert_eq!(server.queue_depth(0), 1 + behind.len());
+            // Resuming lets the shard drain the pause and the 40 records in
+            // one batch, then park again on the pause with the records
+            // still held in that batch.
+            drop(first);
+            let second = second.join().expect("second pause");
+            assert_eq!(server.queue_depth(0), 0, "the records left the queue");
+            drop(second);
+        });
+        for (badge, record) in rest {
+            assert!(server.submit(TenantId(0), *badge, record.clone()));
+        }
+        server.end_day(TenantId(0), 1, day_end(1));
+        let faulted = server.finish();
+        let applied = u64::try_from(feed.len()).expect("small feed");
+        assert_eq!(faulted.records_applied(), applied, "none lost");
+        assert_eq!(faulted.shards[0].wal_appended, applied + 1);
+        // Same records, same order: the analysis, the streamed events and
+        // the counts all match the uninterrupted run.
+        assert_same_tenant(&base, &faulted);
     }
 
     #[test]

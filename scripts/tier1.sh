@@ -13,6 +13,10 @@ cargo build --release --workspace
 
 echo "== tier1: tests =="
 cargo test -q --workspace
+# The vendored crossbeam stand-in is a path dependency, not a workspace
+# member, so `--workspace` skips its unit tests; the ingest data path runs
+# through its channel, so they run here explicitly.
+cargo test -q -p crossbeam
 
 echo "== tier1: clippy (warnings are errors) =="
 cargo clippy --workspace --all-targets -- -D warnings
